@@ -18,6 +18,7 @@ Cluster::Cluster(const ClusterConfig& config, mem::SocBus* bus)
       at_barrier_(config.num_cores, false) {
   HULKV_CHECK(bus != nullptr, "cluster needs the SoC bus");
   HULKV_CHECK(config.num_cores >= 1, "cluster needs cores");
+  sched_.reset(config.num_cores);  // rejects ids that overflow the key
   for (u32 c = 0; c < config.num_cores; ++c) {
     PmcaCoreConfig core_cfg = config.core;
     core_cfg.core_id = c;
@@ -54,9 +55,9 @@ void Cluster::release_barrier() {
       cores_[c]->profile_note_gap(profile::Reason::kBarrierWait);
       cores_[c]->set_state(PmcaCore::State::kRunning);
       // Re-enter the scheduler's runnable set. The releasing core's
-      // slice ends right after this envcall, so the heap is consulted
+      // slice ends right after this envcall, so the scheduler picks
       // again before any further instruction executes.
-      sched_.push_or_update(c, cores_[c]->now());
+      sched_.set(c, cores_[c]->now());
     }
   }
 }
@@ -157,25 +158,22 @@ Cluster::KernelResult Cluster::run_kernel(Cycles start_time, Addr entry,
 
   // Always advance the core with the smallest local clock so
   // shared-resource reservations (TCDM banks, DMA, external memory) are
-  // made in time order. The min-heap keeps runnable cores ordered by
-  // (cycle, core_id) — the same key the old linear scan minimised — and
-  // hands the laggard the runner-up's key so it can retire a whole run
-  // of instructions locally while it stays the laggard. The resulting
-  // instruction interleaving (and with it every reservation and cycle
-  // count) is identical to stepping one instruction at a time.
+  // made in time order. One scan of the packed (cycle, core_id) keys —
+  // the same key the old per-instruction linear scan minimised — picks
+  // the laggard and hands it the runner-up's key, so it can retire a
+  // whole run of instructions locally while it stays the laggard. The
+  // resulting instruction interleaving (and with it every reservation
+  // and cycle count) is identical to stepping one instruction at a time.
   sched_.reset(config_.num_cores);
-  for (u32 c = 0; c < team_size; ++c) {
-    sched_.push_or_update(c, cores_[c]->now());
-  }
-  while (!sched_.empty()) {
-    const u32 c = sched_.top_id();
-    Cycles limit_cycle = 0;
-    u32 limit_id = 0;
-    sched_.runner_up(&limit_cycle, &limit_id);
+  for (u32 c = 0; c < team_size; ++c) sched_.set(c, cores_[c]->now());
+  while (true) {
+    const CoreScheduler::Pick pick = sched_.pick();
+    if (pick.first == CoreScheduler::kIdle) break;
+    const u32 c = CoreScheduler::id_of(pick.first);
     PmcaCore& core = *cores_[c];
-    core.run_slice(limit_cycle, limit_id);
+    core.run_slice(pick.second);
     if (core.state() == PmcaCore::State::kRunning) {
-      sched_.push_or_update(c, core.now());
+      sched_.set(c, core.now());
     } else {
       sched_.remove(c);
     }
@@ -196,6 +194,10 @@ Cluster::KernelResult Cluster::run_kernel(Cycles start_time, Addr entry,
   for (u32 c = 0; c < team_size; ++c) {
     result.finish = std::max(result.finish, cores_[c]->now());
   }
+  // Clocks only grow, so the latest one bounds every key the scheduler
+  // packed during this kernel.
+  HULKV_CHECK(result.finish <= CoreScheduler::kMaxCycle,
+              "cluster clock overflowed the scheduler's packed key");
   for (auto& core : cores_) result.instret += core->instret();
   result.instret -= instret_before;
   result.cycles = result.finish - start_time;

@@ -74,8 +74,9 @@ class Cluster {
 
   /// Snapshot traversal. Only legal between kernels (run_kernel is
   /// synchronous, so there is no mid-kernel snapshot point): the
-  /// scheduler heap is empty then and is simply re-sized on load. The
-  /// event unit is recreated with the saved team size before loading.
+  /// scheduler holds no runnable core then and is simply reset on
+  /// load. The event unit is recreated with the saved team size before
+  /// loading.
   void serialize(snapshot::Archive& ar);
 
   /// Freshly-constructed state across all cluster blocks.
@@ -92,7 +93,7 @@ class Cluster {
   std::unique_ptr<EventUnit> event_unit_;
   ClusterDma dma_;
   std::vector<std::unique_ptr<PmcaCore>> cores_;
-  CoreScheduler sched_;  // runnable cores ordered by (cycle, core_id)
+  CoreScheduler sched_;  // packed (cycle, core_id) key per core
   std::vector<bool> at_barrier_;
   u32 team_size_ = 0;
   trace::TrackHandle trace_track_;  // event-unit lane (dispatch markers)

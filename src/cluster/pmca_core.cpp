@@ -106,6 +106,7 @@ void PmcaCore::reset_for_run(Addr entry) {
   pc_ = entry;
   fetch_line_ = ~0ull;
   state_ = State::kRunning;
+  cursor_ = {};
 }
 
 bool PmcaCore::in_tcdm(Addr addr) const {
@@ -168,9 +169,9 @@ void PmcaCore::store(Addr addr, u32 value, u32 bytes, Cycles issue) {
   }
 }
 
-void PmcaCore::step() { run_slice(kNoLimitCycle, kNoLimitId, 1); }
+void PmcaCore::step() { run_slice(CoreScheduler::kIdle, 1); }
 
-void PmcaCore::run_slice(Cycles limit_cycle, u32 limit_id, u64 max_instrs) {
+void PmcaCore::run_slice(u64 limit, u64 max_instrs) {
   HULKV_CHECK(state_ == State::kRunning, "stepping a non-running core");
   // With tracing on, every instruction is treated as shared so events
   // reach the process-global sink in exactly the per-instruction
@@ -185,14 +186,14 @@ void PmcaCore::run_slice(Cycles limit_cycle, u32 limit_id, u64 max_instrs) {
   // attribution brackets live in the interpreter loop) or lockstep
   // tracing is on.
   if (prof == nullptr && !lockstep && tier_ == isa::ExecTier::kThreaded) {
-    run_slice_threaded(limit_cycle, limit_id, max_instrs);
+    run_slice_threaded(limit, max_instrs);
   } else {
-    run_slice_interp(limit_cycle, limit_id, max_instrs, lockstep, prof);
+    cursor_.block = nullptr;  // the interpreter moves pc_ and fetch_line_
+    run_slice_interp(limit, max_instrs, lockstep, prof);
   }
 }
 
-void PmcaCore::run_slice_interp(Cycles limit_cycle, u32 limit_id,
-                                u64 max_instrs, bool lockstep,
+void PmcaCore::run_slice_interp(u64 limit, u64 max_instrs, bool lockstep,
                                 profile::CoreProfile* prof) {
   u64 executed = 0;
   // Outer loop: one decoded block per iteration (a single cache probe,
@@ -217,9 +218,7 @@ void PmcaCore::run_slice_interp(Cycles limit_cycle, u32 limit_id,
           ((shared_mask >> i) & 1) != 0 ||
           (align_down(pc_, 32) != fetch_line_ &&
            !icache_->private_hit(config_.core_id, pc_));
-      if (shared && (cycle_ > limit_cycle ||
-                     (cycle_ == limit_cycle &&
-                      config_.core_id >= limit_id))) {
+      if (shared && at_limit(limit)) {
         return;  // yield before executing; the scheduler re-picks the min
       }
       const Instr& in = block.instrs[i];
@@ -1543,29 +1542,51 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
 // flags: kFlagShared mirrors the block's (fact-narrowed) shared_mask
 // bit, and the new-fetch-line condition comes from the line flags plus
 // the same dynamic private_hit probe.
-void PmcaCore::run_slice_threaded(Cycles limit_cycle, u32 limit_id,
-                                  u64 max_instrs) {
+void PmcaCore::run_slice_threaded(u64 limit, u64 max_instrs) {
   using PmcaFn = void (*)(PmcaCore&, const isa::threaded::ThreadedInstr&);
   u64 executed = 0;
+  // Resume in front of the instruction the last slice stopped at: no
+  // block probe, and no suffix block translated at a mid-block pc. The
+  // generation proves the block (and its lowering) is still current.
+  // Skipping the entry kFlagLineCheck of a suffix block is exact because
+  // fetch_line_ still holds the line of the instruction before: only
+  // this loop moved pc_ or fetch_line_ since the park (every other
+  // writer clears the cursor). A cursor is good for one slice only.
+  const ResumeCursor resume = cursor_;
+  cursor_.block = nullptr;
+  isa::DecodedBlock* block = nullptr;
+  size_t i = 0;
+  if (resume.block != nullptr && resume.generation == blocks_.generation() &&
+      resume.block->threaded.code[resume.index].pc == pc_) {
+    block = resume.block;
+    i = resume.index;
+  }
+  const auto park = [&](size_t index) {
+    cursor_ = {block, static_cast<u32>(index), blocks_.generation()};
+  };
   while (true) {
-    isa::DecodedBlock& block = blocks_.block_for_exec(pc_);
-    if (block.threaded.generation != block.generation) {
-      const telemetry::Span span(telemetry::SpanPhase::kThreadedLower);
-      isa::threaded::lower(
-          block, 32, /*want_shared=*/true,
-          [](isa::Op op, const void* ctx) {
-            return threaded_resolve(
-                op, *static_cast<const PmcaCoreConfig*>(ctx));
-          },
-          &config_, &block.threaded);
+    if (block == nullptr) {
+      block = &blocks_.block_for_exec(pc_);
+      if (block->threaded.generation != block->generation) {
+        const telemetry::Span span(telemetry::SpanPhase::kThreadedLower);
+        isa::threaded::lower(
+            *block, 32, /*want_shared=*/true,
+            [](isa::Op op, const void* ctx) {
+              return threaded_resolve(
+                  op, *static_cast<const PmcaCoreConfig*>(ctx));
+            },
+            &config_, &block->threaded);
+      }
+      i = 0;
     }
-    const size_t count = block.threaded.code.size();
-    const isa::threaded::ThreadedInstr* code = block.threaded.code.data();
-    for (size_t i = 0; i < count; ++i) {
+    const size_t count = block->threaded.code.size();
+    const isa::threaded::ThreadedInstr* code = block->threaded.code.data();
+    for (; i < count; ++i) {
       const isa::threaded::ThreadedInstr& t = code[i];
-      // Loop invariant: pc_ == t.pc (established by the block probe for
-      // i == 0 and by the sequential-pc break below for i > 0), so a
-      // yield or deopt here resumes at exactly this instruction.
+      // Loop invariant: pc_ == t.pc (established by the block probe or
+      // the cursor check for the first instruction and by the
+      // sequential-pc break below after it), so a yield or deopt here
+      // resumes at exactly this instruction.
       bool newline = false;
       if ((t.flags & isa::threaded::kFlagLineCheck) != 0) {
         newline = align_down(t.pc, 32) != fetch_line_;
@@ -1575,17 +1596,16 @@ void PmcaCore::run_slice_threaded(Cycles limit_cycle, u32 limit_id,
       const bool shared =
           (t.flags & isa::threaded::kFlagShared) != 0 ||
           (newline && !icache_->private_hit(config_.core_id, t.pc));
-      if (shared && (cycle_ > limit_cycle ||
-                     (cycle_ == limit_cycle &&
-                      config_.core_id >= limit_id))) {
+      if (shared && at_limit(limit)) {
+        park(i);
         return;  // yield before executing; the scheduler re-picks the min
       }
       if ((t.flags & isa::threaded::kFlagDeopt) != 0) {
         // Deopt (ecall/ebreak/illegal — always block-terminal): run the
         // remainder on the interpreter; it retires the one instruction
         // and ends the slice (envcall) or throws.
-        run_slice_interp(limit_cycle, limit_id, max_instrs - executed,
-                         /*lockstep=*/false, /*prof=*/nullptr);
+        run_slice_interp(limit, max_instrs - executed, /*lockstep=*/false,
+                         /*prof=*/nullptr);
         return;
       }
       if (newline) {
@@ -1602,9 +1622,14 @@ void PmcaCore::run_slice_threaded(Cycles limit_cycle, u32 limit_id,
       // so hardware loops and the pc commit are unconditional.
       apply_hwloops();
       pc_ = next_pc_;
-      if (executed >= max_instrs) return;
-      if (pc_ != t.pc + 4) break;  // taken branch or hw-loop back edge
+      const bool fell_through = pc_ == t.pc + 4;
+      if (executed >= max_instrs) {
+        if (fell_through && i + 1 < count) park(i + 1);
+        return;
+      }
+      if (!fell_through) break;  // taken branch or hw-loop back edge
     }
+    block = nullptr;
   }
 }
 
@@ -1628,7 +1653,10 @@ void PmcaCore::serialize(snapshot::Archive& ar) {
   ar.pod(fetch_line_);
   ar.pod(pending_commits_);
   stats_.serialize(ar);
-  if (ar.loading()) blocks_.invalidate();
+  if (ar.loading()) {
+    blocks_.invalidate();
+    cursor_ = {};
+  }
 }
 
 void PmcaCore::reset() {
@@ -1645,6 +1673,7 @@ void PmcaCore::reset() {
   pending_commits_ = 0;
   stats_.reset();
   blocks_.invalidate();
+  cursor_ = {};
 }
 
 }  // namespace hulkv::cluster

@@ -26,6 +26,7 @@
 #include <functional>
 
 #include "cluster/icache.hpp"
+#include "cluster/sched.hpp"
 #include "cluster/tcdm.hpp"
 #include "common/stats.hpp"
 #include "isa/block_cache.hpp"
@@ -62,13 +63,6 @@ class PmcaCore {
 
   enum class State { kRunning, kBlocked, kFinished };
 
-  /// "No limit" clock key for run_slice(): no core clock ever reaches
-  /// it, so the slice only ends on a state change, an envcall or the
-  /// instruction budget. CoreScheduler::runner_up yields the same
-  /// sentinel when the stepped core is the only runnable one.
-  static constexpr Cycles kNoLimitCycle = ~0ull;
-  static constexpr u32 kNoLimitId = ~0u;
-
   /// Handles ecall. May block or finish the core (set_state) and may
   /// advance its clock to model service time.
   using EnvHandler = std::function<void(PmcaCore&)>;
@@ -87,13 +81,13 @@ class PmcaCore {
   /// this core remains the cluster's laggard: runs until the core is no
   /// longer kRunning, an environment call retires (its side effects —
   /// barrier wake-ups, DMA — must be observed by the scheduler), or the
-  /// local clock key (cycle, core_id) reaches the lexicographic limit
-  /// (`limit_cycle`, `limit_id`) — the scheduler passes the runner-up
-  /// core's key so time-ordering of shared-resource reservations is
-  /// exactly that of per-instruction min-clock scheduling. Executes at
-  /// least one and at most `max_instrs` instructions.
-  void run_slice(Cycles limit_cycle, u32 limit_id,
-                 u64 max_instrs = UINT64_MAX);
+  /// core's packed key CoreScheduler::key(cycle, core_id) reaches
+  /// `limit` in front of a shared instruction — the scheduler passes
+  /// the runner-up core's key (CoreScheduler::kIdle: no limit) so
+  /// time-ordering of shared-resource reservations is exactly that of
+  /// per-instruction min-clock scheduling. Executes at least one and at
+  /// most `max_instrs` instructions.
+  void run_slice(u64 limit, u64 max_instrs = UINT64_MAX);
 
   // ---- state ----
   State state() const { return state_; }
@@ -166,12 +160,27 @@ class PmcaCore {
   void exec(const isa::Instr& instr);
   /// Interpreter tier of run_slice() (also the deopt target of the
   /// threaded tier): the per-instruction decode-switch loop.
-  void run_slice_interp(Cycles limit_cycle, u32 limit_id, u64 max_instrs,
-                        bool lockstep, profile::CoreProfile* prof);
+  void run_slice_interp(u64 limit, u64 max_instrs, bool lockstep,
+                        profile::CoreProfile* prof);
+
+  /// Where the threaded loop stopped in front of `code[index]` of a
+  /// block (DESIGN.md §10). Not simulated state: never serialized,
+  /// never digested.
+  struct ResumeCursor {
+    isa::DecodedBlock* block = nullptr;
+    u32 index = 0;
+    u64 generation = 0;  // BlockCache generation the block belongs to
+  };
+
   /// Threaded tier of run_slice(): pre-resolved handler pointers, no
-  /// per-instruction opcode switch or field decode. Delegates to
-  /// run_slice_interp() at deopt points (ecall/ebreak/illegal).
-  void run_slice_threaded(Cycles limit_cycle, u32 limit_id, u64 max_instrs);
+  /// per-instruction opcode switch or field decode. Starts at cursor_
+  /// when it is still valid. Delegates to run_slice_interp() at deopt
+  /// points (ecall/ebreak/illegal).
+  void run_slice_threaded(u64 limit, u64 max_instrs);
+  /// True when this core's (cycle, core_id) key has reached `limit`.
+  bool at_limit(u64 limit) const {
+    return CoreScheduler::key(cycle_, config_.core_id) >= limit;
+  }
   void apply_hwloops();
   /// Cluster I-cache timing for a fetch at `pc`: paid once per line.
   void fetch_timing(Addr pc);
@@ -225,6 +234,10 @@ class PmcaCore {
   isa::ExecTier tier_ = isa::default_tier();
   isa::BlockCache blocks_;
   EnvHandler env_;
+  // Set only where the threaded loop stops mid-block; dropped by the
+  // next slice of either tier and by reset_for_run(), reset() and
+  // snapshot load — the only other writers of pc_ and fetch_line_.
+  ResumeCursor cursor_;
   // Cold (touched once per run_slice(), not per instruction); kept last
   // so it does not shift the execution-state members across cache lines.
   profile::Handle prof_handle_;  // cycle-attribution registration

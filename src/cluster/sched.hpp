@@ -1,21 +1,22 @@
-// Indexed min-heap scheduler for the cluster's per-core clocks.
+// Flat packed-key scheduler for the cluster's per-core clocks.
 //
 // The cluster advances the core with the smallest local clock so that
 // shared-resource reservations (TCDM banks, DMA, external memory) are
-// made in time order. The original scheduler re-scanned all N cores
-// before every instruction — O(N) per step, and the dominant cost of
-// 8-core kernels once instruction dispatch itself got cheap. This heap
-// keeps the runnable cores ordered by (cycle, core_id) so the next core
-// is O(1) to find and O(log N) to reposition, and it exposes the
-// *runner-up* key: the laggard core may then execute a whole run of
-// instructions locally until its clock passes the runner-up, preserving
-// exactly the old global time-ordering (see Cluster::run_kernel).
+// made in time order. Each core owns one slot holding the packed key
+// (cycle << kIdBits) | core_id, so a single u64 compare is the
+// lexicographic (cycle, core_id) order — the tie-break of the original
+// per-instruction linear scan (lowest-index core among the minimum).
+// A core that is not runnable holds kIdle, which no packed key reaches.
 //
-// Keys are lexicographic (cycle, core_id), matching the old linear
-// scan's tie-break (first, i.e. lowest-index, core among the minimum),
-// so scheduling decisions — and therefore all timing — are bit-identical.
+// With at most a handful of cores, one branch-free scan of the slots
+// finds both the minimum and the runner-up. The runner-up's key is the
+// horizon handed to the laggard: it may retire a run of instructions
+// locally until its own key reaches that limit (PmcaCore::run_slice),
+// which preserves exactly the per-instruction global time order
+// (DESIGN.md §10).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/types.hpp"
@@ -24,124 +25,56 @@ namespace hulkv::cluster {
 
 class CoreScheduler {
  public:
-  /// Sentinel "no limit" key: no core clock ever reaches it.
-  static constexpr Cycles kNoLimitCycle = ~0ull;
-  static constexpr u32 kNoLimitId = ~0u;
+  /// Low key bits holding the core id.
+  static constexpr u32 kIdBits = 8;
+  static constexpr u32 kMaxCores = 1u << kIdBits;
+  /// Key of a non-runnable core; as a limit key it means "no limit".
+  static constexpr u64 kIdle = ~u64{0};
+  /// Largest clock a key can carry: the shifted clock must not lose
+  /// bits, and no key may reach kIdle.
+  static constexpr Cycles kMaxCycle = (kIdle >> kIdBits) - 1;
 
-  /// Empty the heap and size the id -> position index for `num_cores`.
+  static constexpr u64 key(Cycles cycle, u32 id) {
+    return (cycle << kIdBits) | id;
+  }
+  static constexpr u32 id_of(u64 key) {
+    return static_cast<u32>(key & (kMaxCores - 1));
+  }
+  static constexpr Cycles cycle_of(u64 key) { return key >> kIdBits; }
+
+  /// Size the slot array for `num_cores`, all idle. Throws SimError
+  /// when a core id does not fit in kIdBits.
   void reset(u32 num_cores) {
-    heap_.clear();
-    pos_.assign(num_cores, kAbsent);
+    HULKV_CHECK(num_cores <= kMaxCores,
+                "cluster scheduler: core ids must fit in " +
+                    std::to_string(kIdBits) + " key bits");
+    keys_.assign(num_cores, kIdle);
   }
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
-  bool contains(u32 id) const { return pos_[id] != kAbsent; }
+  /// Make `id` runnable at `cycle` (or move it there).
+  void set(u32 id, Cycles cycle) { keys_[id] = key(cycle, id); }
+  /// Make `id` non-runnable.
+  void remove(u32 id) { keys_[id] = kIdle; }
+  bool contains(u32 id) const { return keys_[id] != kIdle; }
 
-  /// Core with the smallest (cycle, id) key. Heap must be non-empty.
-  u32 top_id() const { return heap_[0].id; }
-  Cycles top_cycle() const { return heap_[0].cycle; }
+  /// The smallest key and the runner-up's key (kIdle when absent).
+  struct Pick {
+    u64 first = kIdle;
+    u64 second = kIdle;
+  };
 
-  /// Key of the second-smallest entry — the horizon up to which the top
-  /// core may run uninterrupted. Yields the no-limit sentinel when the
-  /// top core is the only runnable one.
-  void runner_up(Cycles* cycle, u32* id) const {
-    *cycle = kNoLimitCycle;
-    *id = kNoLimitId;
-    const size_t n = heap_.size();
-    size_t best = 0;
-    if (n > 1) best = 1;
-    if (n > 2 && less(heap_[2], heap_[1])) best = 2;
-    if (best != 0) {
-      *cycle = heap_[best].cycle;
-      *id = heap_[best].id;
+  /// One scan over the slots; keys are unique, so min/max select them.
+  Pick pick() const {
+    Pick p;
+    for (const u64 k : keys_) {
+      p.second = std::min(p.second, std::max(p.first, k));
+      p.first = std::min(p.first, k);
     }
-  }
-
-  /// Insert `id` with key (`cycle`, id), or reposition it if present.
-  void push_or_update(u32 id, Cycles cycle) {
-    if (pos_[id] == kAbsent) {
-      pos_[id] = heap_.size();
-      heap_.push_back({cycle, id});
-      sift_up(heap_.size() - 1);
-      return;
-    }
-    const size_t i = pos_[id];
-    const Cycles old = heap_[i].cycle;
-    heap_[i].cycle = cycle;
-    if (cycle < old) {
-      sift_up(i);
-    } else if (cycle > old) {
-      sift_down(i);
-    }
-  }
-
-  /// Remove `id` if present (no-op otherwise).
-  void remove(u32 id) {
-    const size_t i = pos_[id];
-    if (i == kAbsent) return;
-    pos_[id] = kAbsent;
-    const size_t last = heap_.size() - 1;
-    if (i == last) {
-      heap_.pop_back();
-      return;
-    }
-    move_entry(last, i);
-    heap_.pop_back();
-    // The hole-filling entry may need to move either way.
-    if (i > 0 && less(heap_[i], heap_[(i - 1) / 2])) {
-      sift_up(i);
-    } else {
-      sift_down(i);
-    }
+    return p;
   }
 
  private:
-  static constexpr size_t kAbsent = ~size_t{0};
-
-  struct Entry {
-    Cycles cycle = 0;
-    u32 id = 0;
-  };
-
-  static bool less(const Entry& a, const Entry& b) {
-    return a.cycle != b.cycle ? a.cycle < b.cycle : a.id < b.id;
-  }
-
-  void move_entry(size_t from, size_t to) {
-    heap_[to] = heap_[from];
-    pos_[heap_[to].id] = to;
-  }
-
-  void sift_up(size_t i) {
-    const Entry e = heap_[i];
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (!less(e, heap_[parent])) break;
-      move_entry(parent, i);
-      i = parent;
-    }
-    heap_[i] = e;
-    pos_[e.id] = i;
-  }
-
-  void sift_down(size_t i) {
-    const Entry e = heap_[i];
-    const size_t n = heap_.size();
-    while (true) {
-      size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && less(heap_[child + 1], heap_[child])) ++child;
-      if (!less(heap_[child], e)) break;
-      move_entry(child, i);
-      i = child;
-    }
-    heap_[i] = e;
-    pos_[e.id] = i;
-  }
-
-  std::vector<Entry> heap_;
-  std::vector<size_t> pos_;  // core id -> heap index, kAbsent when out
+  std::vector<u64> keys_;  // core id -> packed key, kIdle when out
 };
 
 }  // namespace hulkv::cluster

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitutil.hpp"
 #include "profile/attr.hpp"
 
 namespace hulkv::cluster {
@@ -14,12 +15,17 @@ constexpr u32 kAccessBatchSize = 256;
 
 Tcdm::Tcdm(const TcdmConfig& config)
     : config_(config),
+      word_shift_(log2_exact(config.word_bytes)),
+      bank_mask_(config.num_banks - 1),
       storage_(config.total_bytes(), 0),
       bank_free_(config.num_banks, 0),
       stats_("tcdm"),
       ctr_accesses_(stats_.counter("accesses")),
       ctr_conflicts_(stats_.counter("conflicts")) {
-  HULKV_CHECK(config.num_banks >= 1, "TCDM needs banks");
+  HULKV_CHECK(is_pow2(config.num_banks),
+              "TCDM bank count must be a power of two");
+  HULKV_CHECK(is_pow2(config.word_bytes),
+              "TCDM word size must be a power of two");
 }
 
 void Tcdm::trace_access(Cycles now) {

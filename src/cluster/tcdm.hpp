@@ -48,14 +48,17 @@ class Tcdm {
 
   /// Bank index holding `offset`.
   u32 bank_of(Addr offset) const {
-    return static_cast<u32>((offset / config_.word_bytes) %
-                            config_.num_banks);
+    return static_cast<u32>((offset >> word_shift_) & bank_mask_);
   }
 
  private:
   void trace_access(Cycles now);
 
   TcdmConfig config_;
+  // Both geometry fields are powers of two (checked at construction),
+  // so the access path indexes banks with a shift and a mask.
+  u32 word_shift_;
+  u32 bank_mask_;
   std::vector<u8> storage_;
   std::vector<Cycles> bank_free_;  // next cycle each bank can serve
   StatGroup stats_;

@@ -7,7 +7,11 @@
 namespace hulkv::mem {
 
 SetAssocTags::SetAssocTags(u32 num_sets, u32 num_ways, u32 line_bytes)
-    : num_sets_(num_sets), num_ways_(num_ways), line_bytes_(line_bytes) {
+    : num_sets_(num_sets),
+      num_ways_(num_ways),
+      line_bytes_(line_bytes),
+      line_shift_(log2_exact(line_bytes)),
+      tag_shift_(log2_exact(line_bytes) + log2_exact(num_sets)) {
   HULKV_CHECK(is_pow2(num_sets), "cache sets must be a power of two");
   HULKV_CHECK(is_pow2(line_bytes), "cache line size must be a power of two");
   HULKV_CHECK(num_ways >= 1, "cache needs at least one way");
@@ -15,12 +19,10 @@ SetAssocTags::SetAssocTags(u32 num_sets, u32 num_ways, u32 line_bytes)
 }
 
 u32 SetAssocTags::set_index(Addr addr) const {
-  return static_cast<u32>((addr / line_bytes_) & (num_sets_ - 1));
+  return static_cast<u32>((addr >> line_shift_) & (num_sets_ - 1));
 }
 
-u64 SetAssocTags::tag_of(Addr addr) const {
-  return addr / line_bytes_ / num_sets_;
-}
+u64 SetAssocTags::tag_of(Addr addr) const { return addr >> tag_shift_; }
 
 SetAssocTags::Way* SetAssocTags::find(Addr addr) {
   const u64 tag = tag_of(addr);

@@ -6,7 +6,7 @@
 //  * decode-cache state never affects timing (cycle counts equal a
 //    cold-cache run),
 //  * mem::BackingStore's direct-mapped page-pointer cache,
-//  * cluster::CoreScheduler heap order vs the naive min-scan.
+//  * cluster::CoreScheduler packed-key order vs the naive min-scan.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -515,50 +515,85 @@ TEST(BackingStorePtrCache, ClearDropsContentsAndSlots) {
 // CoreScheduler
 // ---------------------------------------------------------------------
 
+using cluster::CoreScheduler;
+
 TEST(CoreScheduler, OrdersByCycleThenId) {
-  cluster::CoreScheduler sched;
+  CoreScheduler sched;
   sched.reset(4);
-  sched.push_or_update(2, 100);
-  sched.push_or_update(0, 100);
-  sched.push_or_update(1, 50);
-  sched.push_or_update(3, 200);
-  EXPECT_EQ(sched.size(), 4u);
-  EXPECT_EQ(sched.top_id(), 1u);  // smallest cycle
+  sched.set(2, 100);
+  sched.set(0, 100);
+  sched.set(1, 50);
+  sched.set(3, 200);
+  CoreScheduler::Pick pick = sched.pick();
+  EXPECT_EQ(CoreScheduler::id_of(pick.first), 1u);  // smallest cycle
+  EXPECT_EQ(CoreScheduler::cycle_of(pick.first), 50u);
   sched.remove(1);
-  EXPECT_EQ(sched.top_id(), 0u);  // tie at 100 -> lowest id
-  Cycles rc = 0;
-  u32 ri = 0;
-  sched.runner_up(&rc, &ri);
-  EXPECT_EQ(rc, 100u);
-  EXPECT_EQ(ri, 2u);
+  pick = sched.pick();
+  EXPECT_EQ(CoreScheduler::id_of(pick.first), 0u);  // tie at 100 -> lowest id
+  EXPECT_EQ(pick.second, CoreScheduler::key(100, 2));
   sched.remove(0);
   sched.remove(2);
-  EXPECT_EQ(sched.top_id(), 3u);
-  sched.runner_up(&rc, &ri);
-  EXPECT_EQ(rc, cluster::CoreScheduler::kNoLimitCycle);
-  EXPECT_EQ(ri, cluster::CoreScheduler::kNoLimitId);
+  pick = sched.pick();
+  EXPECT_EQ(CoreScheduler::id_of(pick.first), 3u);
+  EXPECT_EQ(pick.second, CoreScheduler::kIdle);  // alone: no limit
   sched.remove(3);
-  EXPECT_TRUE(sched.empty());
+  EXPECT_EQ(sched.pick().first, CoreScheduler::kIdle);
   sched.remove(3);  // removing an absent id is a no-op
-  EXPECT_TRUE(sched.empty());
+  EXPECT_FALSE(sched.contains(3));
+  EXPECT_EQ(sched.pick().first, CoreScheduler::kIdle);
 }
 
 TEST(CoreScheduler, UpdateRepositionsBothWays) {
-  cluster::CoreScheduler sched;
+  CoreScheduler sched;
   sched.reset(3);
-  sched.push_or_update(0, 10);
-  sched.push_or_update(1, 20);
-  sched.push_or_update(2, 30);
-  sched.push_or_update(0, 40);  // min moves down
-  EXPECT_EQ(sched.top_id(), 1u);
-  sched.push_or_update(2, 5);  // bottom moves up
-  EXPECT_EQ(sched.top_id(), 2u);
-  EXPECT_EQ(sched.top_cycle(), 5u);
+  sched.set(0, 10);
+  sched.set(1, 20);
+  sched.set(2, 30);
+  sched.set(0, 40);  // min moves down
+  EXPECT_EQ(CoreScheduler::id_of(sched.pick().first), 1u);
+  sched.set(2, 5);  // bottom moves up
+  EXPECT_EQ(sched.pick().first, CoreScheduler::key(5, 2));
+  EXPECT_EQ(sched.pick().second, CoreScheduler::key(20, 1));
+}
+
+TEST(CoreScheduler, PackedKeyOrderIsCycleThenId) {
+  // Equal cycles: the id alone decides, lowest first.
+  EXPECT_LT(CoreScheduler::key(7, 0), CoreScheduler::key(7, 1));
+  EXPECT_LT(CoreScheduler::key(7, 3), CoreScheduler::key(7, 4));
+  // Id boundary: the largest id at a cycle sorts below id 0 one cycle
+  // later, and the fields round-trip.
+  constexpr u32 kTopId = CoreScheduler::kMaxCores - 1;
+  EXPECT_LT(CoreScheduler::key(7, kTopId), CoreScheduler::key(8, 0));
+  EXPECT_EQ(CoreScheduler::id_of(CoreScheduler::key(7, kTopId)), kTopId);
+  EXPECT_EQ(CoreScheduler::cycle_of(CoreScheduler::key(7, kTopId)), 7u);
+  // No key reaches the idle/no-limit sentinel.
+  EXPECT_LT(CoreScheduler::key(CoreScheduler::kMaxCycle, kTopId),
+            CoreScheduler::kIdle);
+  EXPECT_EQ(CoreScheduler::cycle_of(
+                CoreScheduler::key(CoreScheduler::kMaxCycle, kTopId)),
+            CoreScheduler::kMaxCycle);
+
+  // The scheduler at the largest core count it accepts.
+  CoreScheduler sched;
+  sched.reset(CoreScheduler::kMaxCores);
+  sched.set(kTopId, 5);
+  sched.set(0, 6);
+  EXPECT_EQ(sched.pick().first, CoreScheduler::key(5, kTopId));
+  EXPECT_EQ(sched.pick().second, CoreScheduler::key(6, 0));
+  sched.set(kTopId, 6);  // tie at 6: id 0 first
+  EXPECT_EQ(sched.pick().first, CoreScheduler::key(6, 0));
+  EXPECT_EQ(sched.pick().second, CoreScheduler::key(6, kTopId));
+}
+
+TEST(CoreScheduler, RejectsCoreCountBeyondIdBits) {
+  CoreScheduler sched;
+  EXPECT_NO_THROW(sched.reset(CoreScheduler::kMaxCores));
+  EXPECT_THROW(sched.reset(CoreScheduler::kMaxCores + 1), SimError);
 }
 
 TEST(CoreScheduler, FuzzMatchesNaiveScan) {
   constexpr u32 kCores = 8;
-  cluster::CoreScheduler sched;
+  CoreScheduler sched;
   sched.reset(kCores);
   std::optional<Cycles> naive[kCores];
 
@@ -576,7 +611,7 @@ TEST(CoreScheduler, FuzzMatchesNaiveScan) {
       naive[id].reset();
     } else {
       const Cycles cycle = next() % 1000;
-      sched.push_or_update(id, cycle);
+      sched.set(id, cycle);
       naive[id] = cycle;
     }
 
@@ -591,19 +626,17 @@ TEST(CoreScheduler, FuzzMatchesNaiveScan) {
         second = static_cast<int>(c);
       }
     }
-    ASSERT_EQ(sched.empty(), best < 0);
+    const CoreScheduler::Pick pick = sched.pick();
+    ASSERT_EQ(pick.first == CoreScheduler::kIdle, best < 0);
     if (best >= 0) {
-      ASSERT_EQ(sched.top_id(), static_cast<u32>(best));
-      ASSERT_EQ(sched.top_cycle(), *naive[best]);
-      Cycles rc = 0;
-      u32 ri = 0;
-      sched.runner_up(&rc, &ri);
+      ASSERT_EQ(CoreScheduler::id_of(pick.first), static_cast<u32>(best));
+      ASSERT_EQ(CoreScheduler::cycle_of(pick.first), *naive[best]);
       if (second >= 0) {
-        ASSERT_EQ(rc, *naive[second]);
-        ASSERT_EQ(ri, static_cast<u32>(second));
+        ASSERT_EQ(CoreScheduler::cycle_of(pick.second), *naive[second]);
+        ASSERT_EQ(CoreScheduler::id_of(pick.second),
+                  static_cast<u32>(second));
       } else {
-        ASSERT_EQ(rc, cluster::CoreScheduler::kNoLimitCycle);
-        ASSERT_EQ(ri, cluster::CoreScheduler::kNoLimitId);
+        ASSERT_EQ(pick.second, CoreScheduler::kIdle);
       }
     }
     ASSERT_EQ(sched.contains(id), naive[id].has_value());

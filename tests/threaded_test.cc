@@ -5,11 +5,14 @@
 //    invalidate, re-lower — never executes a stale lowering,
 //  * mid-block deopt at an ecall hands over to the interpreter at the
 //    exact pc/instret/cycle and resumes after it,
+//  * a cluster core parked mid-block resumes from its cursor only while
+//    the block and its fetch line are still current,
 //  * tier selection never changes architectural results or timing
 //    (the broad byte-equal gates live in determinism_test; these are
 //    the targeted unit-level checks).
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -261,6 +264,110 @@ TEST(ThreadedTier, ClusterKernelMatchesInterpExactly) {
   const auto threaded = run_tier(isa::ExecTier::kThreaded);
   EXPECT_EQ(interp.first, threaded.first);
   EXPECT_EQ(interp.second, threaded.second);
+}
+
+// ---------------------------------------------------------------------
+// Resume cursor (DESIGN.md §10): a core parked mid-block resumes from
+// its cursor, never into a block or fetch line that went stale.
+// ---------------------------------------------------------------------
+
+constexpr Addr kCode = mem::map::kL2Base;
+constexpr Addr kTcdmBase = mem::map::kTcdmBase;
+
+/// Store 7 to TCDM + `offset` and exit. After the entry fetch, the
+/// store is the block's first shared instruction.
+std::vector<u32> store_seven(i32 offset) {
+  Assembler a(kCode, /*rv64=*/false);
+  a.li(t1, static_cast<i64>(kTcdmBase));
+  a.li(a1, 7);
+  a.sw(a1, offset, t1);
+  a.li(a7, cluster::envcall::kExit);
+  a.ecall();
+  return a.assemble();
+}
+
+/// Run `core` on its own until it leaves kRunning.
+void run_alone(cluster::PmcaCore& core) {
+  while (core.state() == cluster::PmcaCore::State::kRunning) {
+    core.run_slice(cluster::CoreScheduler::kIdle);
+  }
+}
+
+TEST(ThreadedCursor, CodeLoadWhileParkedNeverResumesStaleBlock) {
+  // Core 0 parks in front of the store, mid-block. The image is then
+  // replaced by one whose store targets word 1. SoC `stale` parked in
+  // the old image, SoC `current` in the new one already; after the
+  // load both must run the new store with identical state.
+  const auto run = [](i32 parked_offset) {
+    core::HulkVSoc soc(fast_config());
+    cluster::PmcaCore& core = soc.cluster().core(0);
+    soc.load_program(kCode, store_seven(parked_offset));
+    core.reset_for_run(kCode);
+    // The limit lets the entry fetch (key (now, 0)) through and stops
+    // the core at its next shared instruction.
+    core.run_slice(cluster::CoreScheduler::key(core.now(), 1));
+    EXPECT_EQ(core.state(), cluster::PmcaCore::State::kRunning);
+    EXPECT_EQ(core.pc(), kCode + 8);  // in front of the store
+    soc.load_program(kCode, store_seven(4));
+    run_alone(core);
+    u32 words[2] = {};
+    soc.read_mem(kTcdmBase, words, sizeof(words));
+    return std::make_tuple(words[0], words[1], core.now(), core.instret(),
+                           soc.state_digest());
+  };
+  const auto stale = run(0);
+  EXPECT_EQ(std::get<0>(stale), 0u);  // the replaced store never ran
+  EXPECT_EQ(std::get<1>(stale), 7u);
+  EXPECT_EQ(stale, run(4));
+}
+
+TEST(ThreadedCursor, ResetForRunAtParkedPcAfterSimErrorMatchesFreshSoc) {
+  // Core 1 faults on an unknown envcall while core 0 is parked in front
+  // of its store, mid-block, and the kernel ends in SimError. Restarting
+  // core 0 at exactly the parked pc must fetch its line again, as on a
+  // fresh SoC, not resume past the entry line check.
+  Assembler a(kCode, /*rv64=*/false);
+  a.ri(Op::kCsrrs, t2, 0, isa::csr::kMhartid);
+  a.beqz(t2, "work");
+  a.li(a7, 99);  // no such envcall
+  a.ecall();
+  a.label("work");
+  a.li(t1, static_cast<i64>(kTcdmBase));
+  a.li(a1, 7);
+  a.label("store");
+  a.sw(a1, 0, t1);
+  a.li(a7, cluster::envcall::kExit);
+  a.ecall();
+  const std::vector<u32> words = a.assemble();
+  const Addr store = a.address_of("store");
+
+  const auto restart = [&](core::HulkVSoc& soc) {
+    cluster::PmcaCore& core = soc.cluster().core(0);
+    // A cold line makes a skipped fetch show in the cycles.
+    soc.cluster().icache().flush();
+    core.reset_for_run(store);
+    core.set_reg(t1, static_cast<u32>(kTcdmBase));
+    core.set_reg(a1, 7);
+    const Cycles start = core.now();
+    const u64 retired = core.instret();
+    run_alone(core);
+    u32 word = 0;
+    soc.read_mem(kTcdmBase, &word, 4);
+    return std::make_tuple(core.now() - start, core.instret() - retired,
+                           word);
+  };
+
+  core::HulkVSoc faulted(fast_config());
+  faulted.load_program(kCode, words);
+  EXPECT_THROW(faulted.cluster().run_kernel(0, kCode, 0, /*team_size=*/2),
+               SimError);
+  const cluster::PmcaCore& parked = faulted.cluster().core(0);
+  ASSERT_EQ(parked.state(), cluster::PmcaCore::State::kRunning);
+  ASSERT_EQ(parked.pc(), store);
+
+  core::HulkVSoc fresh(fast_config());
+  fresh.load_program(kCode, words);
+  EXPECT_EQ(restart(faulted), restart(fresh));
 }
 
 }  // namespace
