@@ -295,7 +295,7 @@ void latency_ladder(const batch::SweepEngine& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
+  const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);

@@ -292,7 +292,8 @@ Setup dotp_fp_case() {
 
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
+  const report::BenchOptions options =
+      report::bench_args_or_exit(argc, argv, {.writes_trace = true});
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);

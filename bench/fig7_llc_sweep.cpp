@@ -100,7 +100,7 @@ Point run_stride(core::MainMemoryKind kind, bool llc, u32 stride) {
 
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
+  const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);

@@ -127,7 +127,7 @@ std::vector<Workload> workloads() {
 
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
+  const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);

@@ -154,7 +154,7 @@ Runner dnn_runner(const apps::Network& network) {
 
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
+  const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);

@@ -480,7 +480,8 @@ class ReportCollector : public benchmark::BenchmarkReporter {
 
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
+  const report::BenchOptions options =
+      report::bench_args_or_exit(argc, argv, {.passes_unknown = true});
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);

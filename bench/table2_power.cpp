@@ -9,7 +9,7 @@
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
   namespace power = hulkv::power;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
+  const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
   hulkv::isa::configure_tier(options);
   hulkv::profile::configure(options);
   hulkv::telemetry::configure(options);

@@ -167,10 +167,10 @@ bool Parser::parse(int argc, char** argv, OnUnknown policy) {
         break;
       default:
         if (!has_inline) {
-          if (i + 1 >= argc) {
-            // Historical bench behaviour: a trailing value-less flag is
-            // accepted and leaves the default in place.
-            if (policy == OnUnknown::kIgnore) break;
+          // A value flag must not swallow the next flag: `--json
+          // --jobs 2` is a missing value, not a file named "--jobs".
+          if (i + 1 >= argc ||
+              std::string_view(argv[i + 1]).substr(0, 2) == "--") {
             error_ = program_ + ": " + matched->flag + " expects a value";
             return false;
           }

@@ -1,13 +1,12 @@
 // Shared command-line parsing (hulkv::cli).
 //
 // One declarative flag table serves every binary in the repo: the 8
-// bench binaries (via report::parse_bench_args, which keeps its exact
-// historical semantics — both `--flag value` and `--flag=value`
-// spellings, optional-value flags that never consume the next
-// argument, unknown flags passed through to wrapped tools like
-// google-benchmark) and the serve daemon/load generator (which want
-// the opposite unknown-flag policy: a typo'd flag must be a hard
-// error, not a silently ignored one, plus a generated usage text).
+// bench binaries (via report::bench_args_or_exit — both `--flag value`
+// and `--flag=value` spellings, optional-value flags that never
+// consume the next argument, unknown flags an error except where
+// simperf passes them through to google-benchmark) and the serve
+// daemon/load generator (a typo'd flag is a hard error, not a silently
+// ignored one, plus a generated usage text).
 #pragma once
 
 #include <string>
@@ -45,7 +44,8 @@ class Parser {
   };
 
   /// Parse argv[1..]. Returns true on success; on failure error() holds
-  /// a one-line description (bad number, missing value, unknown flag
+  /// a one-line description (bad number, missing value — a value flag
+  /// at the end or followed by another `--` flag — or an unknown flag
   /// under kError). Throws nothing — callers decide whether a parse
   /// failure is fatal.
   bool parse(int argc, char** argv, OnUnknown policy = OnUnknown::kError);

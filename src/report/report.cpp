@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/cli.hpp"
+#include "isa/threaded.hpp"
 
 namespace hulkv::report {
 
@@ -255,6 +256,45 @@ BenchOptions parse_bench_args(int argc, char** argv) {
   // a malformed value on one of *our* flags is still a hard error.
   if (!parser.parse(argc, argv, cli::Parser::OnUnknown::kIgnore)) {
     throw SimError(parser.error());
+  }
+  return options;
+}
+
+BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli) {
+  std::string program = argc > 0 ? argv[0] : "bench";
+  program = program.substr(program.find_last_of('/') + 1);
+  BenchOptions options;
+  cli::Parser parser = bench_flag_parser(program, &options);
+  const std::string error = [&]() -> std::string {
+    if (!parser.parse(argc, argv,
+                      cli.passes_unknown ? cli::Parser::OnUnknown::kIgnore
+                                         : cli::Parser::OnUnknown::kError)) {
+      return parser.error();
+    }
+    if (!options.tier.empty()) {
+      try {
+        (void)isa::parse_tier(options.tier);
+      } catch (const SimError& e) {
+        return program + ": --tier: " + e.what();
+      }
+    }
+    const bool tracing = !options.trace_path.empty();
+    if (tracing && !cli.writes_trace) {
+      return program + ": --trace is not implemented by this bench";
+    }
+    if (options.profile || tracing) {
+      if (options.jobs > 1) {
+        return program +
+               ": --profile and --trace record into one process-wide "
+               "session and need --jobs 1";
+      }
+      options.jobs = 1;
+    }
+    return "";
+  }();
+  if (!error.empty()) {
+    std::cerr << error << "\n" << parser.usage();
+    std::exit(2);
   }
   return options;
 }

@@ -121,8 +121,7 @@ class MetricsReport {
 /// Shared bench command line: --json <path> / --trace <path> /
 /// --jobs <n> / --profile[=<path>] / --telemetry[=<dir>] /
 /// --tier <interp|threaded> (also the --flag=value spellings for the
-/// value-taking flags). Unknown arguments are ignored so wrappers like
-/// google-benchmark keep their own flags.
+/// value-taking flags).
 struct BenchOptions {
   std::string json_path;
   std::string trace_path;
@@ -143,7 +142,28 @@ struct BenchOptions {
   /// "threaded". Empty = keep the built-in default (threaded).
   std::string tier;
 };
+/// Parse the shared flags, passing unknown arguments through (they
+/// belong to a wrapped tool). Throws SimError on a malformed value or a
+/// value flag without its value.
 BenchOptions parse_bench_args(int argc, char** argv);
+
+/// What a bench binary implements beyond parsing the shared flags.
+struct BenchCli {
+  /// Writes the --trace file; on every other bench --trace is refused.
+  bool writes_trace = false;
+  /// Unknown flags belong to a wrapped tool (simperf's
+  /// google-benchmark) instead of being usage errors.
+  bool passes_unknown = false;
+};
+
+/// A bench main()'s command line. A usage error — malformed value,
+/// value flag without its value, unknown flag or tier, --trace on a
+/// bench that does not write one, or --profile/--trace with an
+/// explicit --jobs above 1 (the profiler and the trace sink are
+/// process-global) — prints the message and the usage to stderr and
+/// exits 2. At the default --jobs, --profile and --trace run the sweep
+/// on one worker.
+BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli = {});
 
 /// The shared bench flag set as a cli::Parser over `options`, so other
 /// binaries (the serve daemon, the load generator) can stack their own

@@ -1,8 +1,14 @@
 // hulkv::cli::Parser — the shared flag table behind the bench
-// binaries (report::parse_bench_args) and the serve tools.
+// binaries (report::bench_args_or_exit) and the serve tools — and the
+// figure benches' command lines, driven as subprocesses.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -84,6 +90,12 @@ TEST(CliParser, RejectsBadNumbersAndMissingValues) {
   EXPECT_FALSE(parser.parse(missing.argc(), missing.argv()));
   EXPECT_FALSE(parser.error().empty());
 
+  // A value flag never swallows the next flag, under either policy.
+  Argv swallowing({"--count", "--other"});
+  EXPECT_FALSE(parser.parse(swallowing.argc(), swallowing.argv(),
+                            cli::Parser::OnUnknown::kIgnore));
+  EXPECT_NE(parser.error().find("expects a value"), std::string::npos);
+
   Argv trailing({"--count=7x"});
   EXPECT_FALSE(parser.parse(trailing.argc(), trailing.argv()));
 }
@@ -147,5 +159,105 @@ TEST(CliBench, ParseBenchArgsMatchesParser) {
   EXPECT_TRUE(options.telemetry);
   EXPECT_TRUE(options.telemetry_dir.empty());
 }
+
+// ---------------------------------------------------------------------
+// Figure-bench command lines, each case at the default --jobs (a test
+// pinned to --jobs 1 would hide a sweep bench aborting under --profile).
+// ---------------------------------------------------------------------
+
+#ifndef HULKV_BENCH_DIR
+#define HULKV_BENCH_DIR "."
+#endif
+
+struct Outcome {
+  int rc = -1;
+  std::string err;  // stderr; stdout is discarded
+};
+
+Outcome run_bench(const std::string& bench, const std::string& args) {
+  const std::string cmd = std::string(HULKV_BENCH_DIR) + "/" + bench + " " +
+                          args + " 2>&1 >/dev/null";
+  Outcome out;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return out;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) out.err.append(buf, n);
+  const int status = pclose(pipe);
+  out.rc = WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+  return out;
+}
+
+/// A scratch directory removed (with its files) at scope exit.
+struct TempDir {
+  TempDir() {
+    char tmpl[] = "/tmp/hulkv_bench_cli.XXXXXX";
+    path = mkdtemp(tmpl) != nullptr ? tmpl : "";
+  }
+  ~TempDir() {
+    if (!path.empty()) std::filesystem::remove_all(path);
+  }
+  bool has(const std::string& file) const {
+    return std::filesystem::exists(path + "/" + file);
+  }
+  std::string path;
+};
+
+class FigureBenchCli : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FigureBenchCli, UsageErrorsExitTwoWithMessage) {
+  const std::string bench = GetParam();
+  // (arguments, text the message must name)
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--jobs abc", "--jobs"},
+      {"--bogus", "--bogus"},
+      {"--json", "--json"},
+      {"--json --jobs 2", "--json"},
+      {"--tier=warp", "--tier"},
+      {"--profile --jobs 2", "--jobs 1"},
+  };
+  for (const auto& [args, names] : cases) {
+    const Outcome o = run_bench(bench, args);
+    EXPECT_EQ(o.rc, 2) << bench << " " << args << "\n" << o.err;
+    EXPECT_NE(o.err.find(names), std::string::npos)
+        << bench << " " << args << "\n" << o.err;
+    EXPECT_NE(o.err.find("usage: " + bench), std::string::npos)
+        << bench << " " << args << "\n" << o.err;
+  }
+}
+
+TEST_P(FigureBenchCli, TraceIsWrittenOrRefused) {
+  const std::string bench = GetParam();
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const Outcome o = run_bench(bench, "--trace=" + dir.path + "/t.json");
+  if (bench == "fig6_speedup") {  // the one figure bench that traces
+    EXPECT_EQ(o.rc, 0) << o.err;
+    EXPECT_TRUE(dir.has("t.json"));
+  } else {
+    EXPECT_EQ(o.rc, 2) << o.err;
+    EXPECT_NE(o.err.find("--trace"), std::string::npos) << o.err;
+    EXPECT_FALSE(dir.has("t.json"));
+  }
+}
+
+TEST_P(FigureBenchCli, ProfileWritesFilesAtDefaultJobs) {
+  const std::string bench = GetParam();
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const Outcome o = run_bench(bench, "--profile=" + dir.path + "/p");
+  EXPECT_EQ(o.rc, 0) << o.err;
+  EXPECT_TRUE(dir.has("p.folded"));
+  EXPECT_TRUE(dir.has("p.annotated.txt"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FigureBenches, FigureBenchCli,
+    ::testing::Values("fig6_speedup", "fig7_llc_sweep", "fig8_llc_effect",
+                      "fig9_energy_eff", "table1_comparison", "table2_power",
+                      "ablation_memsys"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 }  // namespace
