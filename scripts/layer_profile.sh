@@ -60,19 +60,20 @@ rm -f "$build_dir/gmon.out"
 gprof -b -p "$build_dir/perfbench" "$build_dir/gmon.out" | python3 -c '
 import re, sys
 
+# Matched against the qualified name without its parameter list, in
+# this order (the first match wins).
 LAYERS = [
-    ("scheduler", r"CoreScheduler|Cluster::run_kernel|PmcaCore::run_slice\(|"
-                  r"Cluster::handle_envcall|Cluster::release_barrier|"
-                  r"EventUnit::"),
-    ("block lookup", r"BlockCache::|threaded::lower|isa::decode|"
-                     r"_Hashtable<unsigned long, std::pair<unsigned long const, "
-                     r"hulkv::isa::DecodedBlock"),
+    ("snapshot and wire", r"hulkv::snapshot::|hulkv::serve::|::serialize$|"
+                          r"::state_digest$"),
+    ("scheduler", r"CoreScheduler::|Cluster::run_kernel$|"
+                  r"PmcaCore::run_slice$|Cluster::handle_envcall$|"
+                  r"Cluster::release_barrier$|EventUnit::"),
+    ("block lookup", r"BlockCache::|threaded::lower$|isa::decode$|"
+                     r"(_Hashtable|_Map_base)<.*DecodedBlock"),
     ("TCDM", r"Tcdm::|ClusterDma::"),
-    ("L1/LLC/DRAM", r"hulkv::mem::|ClusterIcache::"),
-    ("snapshot and wire", r"hulkv::snapshot::|hulkv::serve::|state_digest|"
-                          r"Archive"),
+    ("L1/LLC/DRAM", r"^hulkv::mem::|ClusterIcache::"),
     ("dispatch/handlers", r"ThreadedPmca::|ThreadedHost::|PmcaCore::|"
-                          r"Cva6Core::|hulkv::host::"),
+                          r"Cva6Core::|^hulkv::host::"),
 ]
 ROW = re.compile(r"^\s*[\d.]+\s+[\d.]+\s+([\d.]+)\s+(?:\d+\s+[\d.]+\s+[\d.]+\s+)?(.+)$")
 
@@ -84,7 +85,8 @@ for line in sys.stdin:
     if not m:
         continue
     self_s, func = float(m.group(1)), m.group(2).strip()
-    layer = next((n for n, pat in LAYERS if re.search(pat, func)), "other")
+    name = re.sub(r"^(void|bool|unsigned long|int) ", "", func.split("(")[0])
+    layer = next((n for n, pat in LAYERS if re.search(pat, name)), "other")
     totals[layer] += self_s
     top[layer].append((self_s, func))
 

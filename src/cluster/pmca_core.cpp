@@ -169,6 +169,23 @@ void PmcaCore::store(Addr addr, u32 value, u32 bytes, Cycles issue) {
   }
 }
 
+// Inline: both slice loops call it once per retired instruction.
+inline void PmcaCore::apply_hwloops() {
+  // Innermost loop first (index 0). A loop fires when control falls onto
+  // its end address from the body's last instruction.
+  for (int l = 0; l < 2; ++l) {
+    HwLoop& loop = loops_[l];
+    if (loop.count == 0 || next_pc_ != loop.end) continue;
+    if (loop.count > 1) {
+      --loop.count;
+      next_pc_ = loop.start;  // zero-overhead back edge
+      ctr_hwloop_backedges_ += 1;
+      return;
+    }
+    loop.count = 0;  // natural exit, fall through; outer loop may fire too
+  }
+}
+
 void PmcaCore::step() { run_slice(CoreScheduler::kIdle, 1); }
 
 void PmcaCore::run_slice(u64 limit, u64 max_instrs) {
@@ -178,19 +195,20 @@ void PmcaCore::run_slice(u64 limit, u64 max_instrs) {
   // scheduling order (run-ahead would reorder the sink's event stream;
   // cycles are identical either way).
   const bool lockstep = trace_ || trace::enabled();
-  // Resolved once per slice; disabled cost per instruction is the null
-  // check on this local.
-  profile::CoreProfile* prof = profile::attach(prof_handle_, stats_.name());
   // Tier selection (DESIGN.md §15): the threaded tier self-deoptimizes
-  // to the interpreter whenever the profiler is attached (per-retire
+  // to the interpreter whenever the profiler is collecting (per-retire
   // attribution brackets live in the interpreter loop) or lockstep
   // tracing is on.
-  if (prof == nullptr && !lockstep && tier_ == isa::ExecTier::kThreaded) {
+  if (!lockstep && !profile::enabled() &&
+      tier_ == isa::ExecTier::kThreaded) {
     run_slice_threaded(limit, max_instrs);
-  } else {
-    cursor_.block = nullptr;  // the interpreter moves pc_ and fetch_line_
-    run_slice_interp(limit, max_instrs, lockstep, prof);
+    return;
   }
+  cursor_.block = nullptr;  // the interpreter moves pc_ and fetch_line_
+  // Resolved once per slice; disabled cost per instruction is the null
+  // check on this local.
+  run_slice_interp(limit, max_instrs, lockstep,
+                   profile::attach(prof_handle_, stats_.name()));
 }
 
 void PmcaCore::run_slice_interp(u64 limit, u64 max_instrs, bool lockstep,
@@ -249,22 +267,6 @@ void PmcaCore::run_slice_interp(u64 limit, u64 max_instrs, bool lockstep,
       seq_pc += 4;
       if (pc_ != seq_pc) break;  // taken branch or hardware-loop back edge
     }
-  }
-}
-
-void PmcaCore::apply_hwloops() {
-  // Innermost loop first (index 0). A loop fires when control falls onto
-  // its end address from the body's last instruction.
-  for (int l = 0; l < 2; ++l) {
-    HwLoop& loop = loops_[l];
-    if (loop.count == 0 || next_pc_ != loop.end) continue;
-    if (loop.count > 1) {
-      --loop.count;
-      next_pc_ = loop.start;  // zero-overhead back edge
-      ctr_hwloop_backedges_ += 1;
-      return;
-    }
-    loop.count = 0;  // natural exit, fall through; outer loop may fire too
   }
 }
 
