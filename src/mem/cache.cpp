@@ -10,8 +10,9 @@ SetAssocTags::SetAssocTags(u32 num_sets, u32 num_ways, u32 line_bytes)
     : num_sets_(num_sets),
       num_ways_(num_ways),
       line_bytes_(line_bytes),
-      line_shift_(log2_exact(line_bytes)),
-      tag_shift_(log2_exact(line_bytes) + log2_exact(num_sets)) {
+      line_shift_(static_cast<u8>(log2_exact(line_bytes))),
+      tag_shift_(static_cast<u8>(log2_exact(line_bytes) +
+                                 log2_exact(num_sets))) {
   HULKV_CHECK(is_pow2(num_sets), "cache sets must be a power of two");
   HULKV_CHECK(is_pow2(line_bytes), "cache line size must be a power of two");
   HULKV_CHECK(num_ways >= 1, "cache needs at least one way");

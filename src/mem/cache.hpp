@@ -80,9 +80,11 @@ class SetAssocTags {
   u32 num_ways_;
   u32 line_bytes_;
   // Sets and lines are powers of two (checked at construction), so the
-  // set index and the tag are shifts and a mask, not divisions.
-  u32 line_shift_;
-  u32 tag_shift_;  // line_shift_ + log2(num_sets_)
+  // set index and the tag are shifts and a mask, not divisions. Bytes,
+  // so they sit in the padding before use_clock_: the CVA6 core embeds
+  // its L1 models, and growing them shifts its hot members.
+  u8 line_shift_;
+  u8 tag_shift_;  // line_shift_ + log2(num_sets_)
   u64 use_clock_ = 0;
   std::vector<Way> ways_;  // num_sets * num_ways
 };
