@@ -94,8 +94,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("fig6_speedup", "fig7_llc_sweep", "fig8_llc_effect",
                       "fig9_energy_eff", "table1_comparison", "table2_power",
                       "ablation_memsys"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      return std::string(info.param);
+    [](const ::testing::TestParamInfo<const char*>& bench) {
+      return std::string(bench.param);
     });
 
 // ---------------------------------------------------------------------
