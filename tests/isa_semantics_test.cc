@@ -32,11 +32,18 @@ core::SocConfig fast_config() {
 // Host (RV64) table-driven ALU semantics.
 // ---------------------------------------------------------------------
 
+// gtest, and ctest after it, names each case by a byte dump of its
+// parameter, padding included. `pad` spells out the bytes after `op` that
+// the compiler would leave uninitialized, so a case has the same name in
+// every build. Its values are the ones those names already carry; the
+// test never reads them.
 struct HostRCase {
   Op op;
+  u8 pad[6];
   u64 a, b;
   u64 want;
 };
+static_assert(sizeof(HostRCase) == 32, "no implicit padding");
 
 class HostROp : public ::testing::TestWithParam<HostRCase> {};
 
@@ -57,34 +64,42 @@ TEST_P(HostROp, ComputesExpected) {
 INSTANTIATE_TEST_SUITE_P(
     Alu, HostROp,
     ::testing::Values(
-        HostRCase{Op::kAdd, 3, 4, 7},
-        HostRCase{Op::kAdd, ~0ull, 1, 0},  // wraparound
-        HostRCase{Op::kSub, 3, 4, ~0ull},
-        HostRCase{Op::kSll, 1, 63, 1ull << 63},
-        HostRCase{Op::kSll, 1, 64, 1},  // shift amount masked to 6 bits
-        HostRCase{Op::kSrl, 0x8000000000000000ull, 63, 1},
-        HostRCase{Op::kSra, 0x8000000000000000ull, 63, ~0ull},
-        HostRCase{Op::kSlt, static_cast<u64>(-1), 0, 1},
-        HostRCase{Op::kSltu, static_cast<u64>(-1), 0, 0},
-        HostRCase{Op::kXor, 0xFF00, 0x0FF0, 0xF0F0},
-        HostRCase{Op::kOr, 0xF0, 0x0F, 0xFF},
-        HostRCase{Op::kAnd, 0xFF, 0x0F, 0x0F},
-        HostRCase{Op::kMul, 0xFFFFFFFFull, 0xFFFFFFFFull,
+        HostRCase{Op::kAdd, {0x3F, 0x14, 0x7E, 0x55}, 3, 4, 7},
+        HostRCase{Op::kAdd, {}, ~0ull, 1, 0},  // wraparound
+        HostRCase{Op::kSub, {0xD8, 0x07, 0xFF, 0x7F}, 3, 4, ~0ull},
+        HostRCase{Op::kSll, {0x47, 0xFE, 0x7D, 0x55}, 1, 63, 1ull << 63},
+        // Shift amount masked to 6 bits.
+        HostRCase{Op::kSll, {0x72, 0x75, 0x6E, 0x5F, 0x64, 0x65}, 1, 64, 1},
+        HostRCase{Op::kSrl, {0x3F, 0x14, 0x7E, 0x55}, 0x8000000000000000ull,
+                  63, 1},
+        HostRCase{Op::kSra, {0x72, 0x75, 0x6E, 0x5F, 0x64, 0x65},
+                  0x8000000000000000ull, 63, ~0ull},
+        HostRCase{Op::kSlt, {0x3F, 0x14, 0x7E, 0x55}, static_cast<u64>(-1), 0,
+                  1},
+        HostRCase{Op::kSltu, {}, static_cast<u64>(-1), 0, 0},
+        HostRCase{Op::kXor, {0x47, 0xFE, 0x7D, 0x55}, 0xFF00, 0x0FF0, 0xF0F0},
+        HostRCase{Op::kOr, {}, 0xF0, 0x0F, 0xFF},
+        HostRCase{Op::kAnd, {}, 0xFF, 0x0F, 0x0F},
+        HostRCase{Op::kMul, {}, 0xFFFFFFFFull, 0xFFFFFFFFull,
                   0xFFFFFFFE00000001ull},
-        HostRCase{Op::kMulhsu, static_cast<u64>(-1), static_cast<u64>(-1),
+        HostRCase{Op::kMulhsu, {}, static_cast<u64>(-1), static_cast<u64>(-1),
                   static_cast<u64>(-1)},  // (-1 * huge) >> 64
-        HostRCase{Op::kDivu, 7, 2, 3},
-        HostRCase{Op::kDivu, 7, 0, ~0ull},
-        HostRCase{Op::kRemu, 7, 0, 7},
-        HostRCase{Op::kRemu, 7, 2, 1},
-        HostRCase{Op::kAddw, 0x7FFFFFFF, 1, 0xFFFFFFFF80000000ull},
-        HostRCase{Op::kSubw, 0, 1, ~0ull},
-        HostRCase{Op::kSrlw, 0x80000000ull, 31, 1},
-        HostRCase{Op::kSraw, 0x80000000ull, 31, ~0ull},
-        HostRCase{Op::kDivuw, 0xFFFFFFFFull, 2, 0x7FFFFFFF},
-        HostRCase{Op::kRemuw, 0xFFFFFFFFull, 0, ~0ull},  // sign-extended
-        HostRCase{Op::kRemw, static_cast<u64>(-7), 2, static_cast<u64>(-1)},
-        HostRCase{Op::kMulw, 0x10000, 0x10000, 0}));
+        HostRCase{Op::kDivu, {}, 7, 2, 3},
+        HostRCase{Op::kDivu, {}, 7, 0, ~0ull},
+        HostRCase{Op::kRemu, {}, 7, 0, 7},
+        HostRCase{Op::kRemu, {}, 7, 2, 1},
+        HostRCase{Op::kAddw, {}, 0x7FFFFFFF, 1, 0xFFFFFFFF80000000ull},
+        HostRCase{Op::kSubw, {}, 0, 1, ~0ull},
+        HostRCase{Op::kSrlw, {}, 0x80000000ull, 31, 1},
+        HostRCase{Op::kSraw, {0x00, 0x61, 0x5F, 0x73, 0x65, 0x6D},
+                  0x80000000ull, 31, ~0ull},
+        HostRCase{Op::kDivuw, {}, 0xFFFFFFFFull, 2, 0x7FFFFFFF},
+        HostRCase{Op::kRemuw, {0x48, 0, 0, 0, 0xD0, 0xEF}, 0xFFFFFFFFull, 0,
+                  ~0ull},  // sign-extended
+        HostRCase{Op::kRemw, {}, static_cast<u64>(-7), 2,
+                  static_cast<u64>(-1)},
+        HostRCase{Op::kMulw, {0x48, 0, 0, 0, 0xD0, 0xCA}, 0x10000, 0x10000,
+                  0}));
 
 TEST(HostImm, SltiuTreatsImmAsUnsignedOfSext) {
   // sltiu a0, t0, -1 compares against 0xFFFF...FFFF.
@@ -301,11 +316,14 @@ std::vector<u32> run0(core::HulkVSoc& soc,
   return out;
 }
 
+// `pad` as in HostRCase.
 struct PmcaRCase {
   Op op;
+  u8 pad[2];
   u32 a, b;
   u32 want;
 };
+static_assert(sizeof(PmcaRCase) == 16, "no implicit padding");
 
 class PmcaROp : public ::testing::TestWithParam<PmcaRCase> {};
 
@@ -330,30 +348,38 @@ INSTANTIATE_TEST_SUITE_P(
     Rv32AndXpulp, PmcaROp,
     ::testing::Values(
         // RV32 M edge cases.
-        PmcaRCase{Op::kMul, 0xFFFF, 0x10001, 0xFFFFFFFF},
-        PmcaRCase{Op::kMulh, 0x80000000u, 0x80000000u, 0x40000000},
-        PmcaRCase{Op::kMulhu, 0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFE},
-        PmcaRCase{Op::kMulhsu, 0xFFFFFFFFu, 2, 0xFFFFFFFF},  // -1 * 2 >> 32
-        PmcaRCase{Op::kDiv, 0x80000000u, 0xFFFFFFFFu, 0x80000000},
-        PmcaRCase{Op::kDiv, 100, 0, 0xFFFFFFFF},
-        PmcaRCase{Op::kRem, 0x80000000u, 0xFFFFFFFFu, 0},
-        PmcaRCase{Op::kDivu, 0xFFFFFFFEu, 2, 0x7FFFFFFF},
+        PmcaRCase{Op::kMul, {0xD8, 0x07}, 0xFFFF, 0x10001, 0xFFFFFFFF},
+        PmcaRCase{Op::kMulh, {0xD8, 0x07}, 0x80000000u, 0x80000000u,
+                  0x40000000},
+        PmcaRCase{Op::kMulhu, {0xD8, 0x07}, 0xFFFFFFFFu, 0xFFFFFFFFu,
+                  0xFFFFFFFE},
+        PmcaRCase{Op::kMulhsu, {0x3F, 0x14}, 0xFFFFFFFFu, 2,
+                  0xFFFFFFFF},  // -1 * 2 >> 32
+        PmcaRCase{Op::kDiv, {0xD8, 0x07}, 0x80000000u, 0xFFFFFFFFu,
+                  0x80000000},
+        PmcaRCase{Op::kDiv, {0x3F, 0x14}, 100, 0, 0xFFFFFFFF},
+        PmcaRCase{Op::kRem, {}, 0x80000000u, 0xFFFFFFFFu, 0},
+        PmcaRCase{Op::kDivu, {0x3F, 0x14}, 0xFFFFFFFEu, 2, 0x7FFFFFFF},
         // Xpulp scalar DSP.
-        PmcaRCase{Op::kPMin, 0xFFFFFFFBu, 3, 0xFFFFFFFB},  // min(-5, 3)
-        PmcaRCase{Op::kPMax, 0xFFFFFFFBu, 3, 3},
-        PmcaRCase{Op::kPMsu, 0, 0, 0},
+        PmcaRCase{Op::kPMin, {0xD8, 0x07}, 0xFFFFFFFBu, 3,
+                  0xFFFFFFFB},  // min(-5, 3)
+        PmcaRCase{Op::kPMax, {0x3F, 0x14}, 0xFFFFFFFBu, 3, 3},
+        PmcaRCase{Op::kPMsu, {0xD8, 0x07}, 0, 0, 0},
         // Xpulp SIMD byte lanes.
-        PmcaRCase{Op::kPvSubB, 0x05050505, 0x01020304, 0x04030201},
-        PmcaRCase{Op::kPvMinB, 0x7F80FF01, 0x00000000, 0x0080FF00},
-        PmcaRCase{Op::kPvMaxB, 0x7F80FF01, 0x00000000, 0x7F000001},
+        PmcaRCase{Op::kPvSubB, {}, 0x05050505, 0x01020304, 0x04030201},
+        PmcaRCase{Op::kPvMinB, {}, 0x7F80FF01, 0x00000000, 0x0080FF00},
+        PmcaRCase{Op::kPvMaxB, {0x3F, 0x14}, 0x7F80FF01, 0x00000000,
+                  0x7F000001},
         // Xpulp SIMD halfword lanes.
-        PmcaRCase{Op::kPvSubH, 0x00050003, 0x00010001, 0x00040002},
-        PmcaRCase{Op::kPvMinH, 0x8000FFFF, 0x00000000, 0x8000FFFF},
-        PmcaRCase{Op::kPvMaxH, 0x8000FFFF, 0x00000000, 0x00000000},
-        PmcaRCase{Op::kPvSraH, 0xF0000010, 2, 0xFC000004},
+        PmcaRCase{Op::kPvSubH, {0x3F, 0x14}, 0x00050003, 0x00010001,
+                  0x00040002},
+        PmcaRCase{Op::kPvMinH, {0x3F, 0x14}, 0x8000FFFF, 0x00000000,
+                  0x8000FFFF},
+        PmcaRCase{Op::kPvMaxH, {}, 0x8000FFFF, 0x00000000, 0x00000000},
+        PmcaRCase{Op::kPvSraH, {}, 0xF0000010, 2, 0xFC000004},
         // Non-accumulating dot products.
-        PmcaRCase{Op::kPvDotspB, 0x01010101, 0x02020202, 8},
-        PmcaRCase{Op::kPvDotspH, 0x00020003, 0x00040005, 23}));
+        PmcaRCase{Op::kPvDotspB, {}, 0x01010101, 0x02020202, 8},
+        PmcaRCase{Op::kPvDotspH, {0x3F, 0x14}, 0x00020003, 0x00040005, 23}));
 
 TEST(PmcaUnary, AbsAndExtensions) {
   core::HulkVSoc soc(fast_config());
