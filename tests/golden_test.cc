@@ -5,23 +5,45 @@
 //  * HulkVSoc::state_digest() after the cold and after the warm offload
 //    of the six Fig. 6 device kernels at the figure's sizes
 //    (tests/golden/offload_digests.txt).
-// Both are regenerated with HULKV_REGEN_GOLDEN=1; a change that does so
+//  * state_digest() of host runs: three bounded mid-block checkpoints
+//    and the exit of a store/load/mul loop, and the warm and timed runs
+//    of the five Fig. 8 IoT programs on the shipped SoC
+//    (tests/golden/host_digests.txt).
+//  * The ResultRows of one no-cache suite per memory configuration run
+//    through serve::Service::run_point: warm fork plus chunked host runs
+//    (tests/golden/serve_rows.txt).
+//  * The observed runs: fig6_speedup --profile's folded stacks and the
+//    FNV-1a digest of its annotated view (tests/golden/profile/), and
+//    the digest of its --trace file (tests/golden/trace/).
+// All are regenerated with HULKV_REGEN_GOLDEN=1; a change that does so
 // must say which simulated number moved and why.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/half.hpp"
 #include "common/rng.hpp"
 #include "core/soc.hpp"
+#include "isa/assembler.hpp"
 #include "kernels/cluster_kernels.hpp"
+#include "kernels/golden.hpp"
+#include "kernels/host_kernels.hpp"
+#include "kernels/iot_benchmarks.hpp"
+#include "kernels/kernel.hpp"
 #include "runtime/offload.hpp"
+#include "serve/service.hpp"
+#include "serve/workload.hpp"
+#include "snapshot/archive.hpp"
 
 namespace hulkv {
 namespace {
@@ -220,6 +242,98 @@ std::string hex_digest(u64 digest) {
   return buf;
 }
 
+/// The store/load/mul loop whose bounded runs land mid-block.
+std::vector<u32> checkpoint_program() {
+  using namespace isa::reg;
+  isa::Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
+  a.li(t0, 2000);
+  a.li(t1, 0);
+  a.li(t2, core::layout::kSharedBase);
+  a.label("loop");
+  a.sd(t1, 0, t2);    // store through the write-through L1D
+  a.ld(t3, 0, t2);    // load back (D-cache hit path)
+  a.mul(t4, t1, t0);  // multiplier latency
+  a.addi(t1, t1, 1);
+  a.addi(t0, t0, -1);
+  a.bnez(t0, "loop");
+  a.mv(a0, t1);
+  a.li(a7, 93);
+  a.ecall();
+  return a.assemble();
+}
+
+host::Cva6Core::SyscallAction exit_on_93(host::Cva6Core& c) {
+  return c.reg(isa::reg::a7) == 93 ? host::Cva6Core::SyscallAction::kExit
+                                   : host::Cva6Core::SyscallAction::kContinue;
+}
+
+/// One Fig. 8 IoT program: writes its input into the SoC, returns the
+/// program and its arguments.
+struct IotWorkload {
+  std::string name;
+  std::function<std::pair<kernels::KernelProgram, std::vector<u64>>(
+      core::HulkVSoc&)>
+      setup;
+};
+
+/// The five IoT programs at bench/fig8_llc_effect.cpp's sizes and seeds.
+std::vector<IotWorkload> fig8_iot_workloads() {
+  constexpr Addr kBase = core::layout::kSharedBase;
+  std::vector<IotWorkload> list;
+  list.push_back({"crc32", [](core::HulkVSoc& soc) {
+    const u32 n = 64 * 1024;
+    Xoshiro256 rng(1);
+    std::vector<u8> data(n);
+    for (auto& b : data) b = static_cast<u8>(rng.next());
+    const auto table = kernels::golden::crc32_table();
+    soc.write_mem(kBase, data.data(), n);
+    soc.write_mem(kBase + n, table.data(), 1024);
+    return std::pair{kernels::host_crc32(n),
+                     std::vector<u64>{kBase, kBase + n, kBase + n + 1024}};
+  }});
+  list.push_back({"fir", [](core::HulkVSoc& soc) {
+    const u32 n = 16384, taps = 32;
+    Xoshiro256 rng(2);
+    std::vector<i32> x(n), h(taps);
+    for (auto& v : x) v = static_cast<i32>(rng.next_range(-1000, 1000));
+    for (auto& v : h) v = static_cast<i32>(rng.next_range(-16, 16));
+    const Addr ph = kBase + n * 4;
+    soc.write_mem(kBase, x.data(), n * 4);
+    soc.write_mem(ph, h.data(), taps * 4);
+    return std::pair{kernels::host_fir_i32(n, taps),
+                     std::vector<u64>{kBase, ph, ph + taps * 4}};
+  }});
+  list.push_back({"sort", [](core::HulkVSoc& soc) {
+    const u32 n = 16384;
+    Xoshiro256 rng(3);
+    std::vector<i32> data(n);
+    for (auto& v : data) v = static_cast<i32>(rng.next_range(-1000000, 1000000));
+    soc.write_mem(kBase, data.data(), n * 4);
+    return std::pair{kernels::host_shell_sort(n), std::vector<u64>{kBase}};
+  }});
+  list.push_back({"histogram", [](core::HulkVSoc& soc) {
+    const u32 n = 96 * 1024;
+    Xoshiro256 rng(4);
+    std::vector<u8> data(n);
+    for (auto& b : data) b = static_cast<u8>(rng.next());
+    soc.write_mem(kBase, data.data(), n);
+    return std::pair{kernels::host_histogram(n),
+                     std::vector<u64>{kBase, kBase + n}};
+  }});
+  list.push_back({"strsearch", [](core::HulkVSoc& soc) {
+    const u32 n = 96 * 1024, m = 8;
+    Xoshiro256 rng(5);
+    std::vector<u8> hay(n);
+    for (auto& b : hay) b = static_cast<u8>('a' + rng.next_below(4));
+    const std::string needle = "abcdabcd";
+    soc.write_mem(kBase, hay.data(), n);
+    soc.write_mem(kBase + n, needle.data(), m);
+    return std::pair{kernels::host_strsearch(n, m),
+                     std::vector<u64>{kBase, kBase + n, kBase + n + 64}};
+  }});
+  return list;
+}
+
 TEST(GoldenOffload, DigestsAfterColdAndWarmOffload) {
   std::string lines;
   for (OffloadCase& c : fig6_device_cases()) {
@@ -239,6 +353,133 @@ TEST(GoldenOffload, DigestsAfterColdAndWarmOffload) {
              hex_digest(soc.state_digest()) + "\n";
   }
   expect_golden("offload_digests.txt", lines);
+}
+
+// ---------------------------------------------------------------------
+// Host digests
+// ---------------------------------------------------------------------
+
+TEST(GoldenHost, DigestsAtCheckpointsAndAfterIotPrograms) {
+  std::string lines;
+  {
+    // Three bounded runs cut blocks mid-way; the last one runs to exit.
+    core::SocConfig cfg;
+    cfg.main_memory = core::MainMemoryKind::kDdr4;
+    core::HulkVSoc soc(cfg);
+    soc.load_program(core::layout::kHostCodeBase, checkpoint_program());
+    soc.host().set_syscall_handler(exit_on_93);
+    soc.host().set_pc(core::layout::kHostCodeBase);
+    for (int i = 0; i < 3; ++i) {
+      soc.host().run(/*max_instructions=*/1501);
+      lines += "checkpoint " + std::to_string(i) + " " +
+               hex_digest(soc.state_digest()) + "\n";
+    }
+    soc.host().run();
+    lines += "checkpoint exit " + hex_digest(soc.state_digest()) + "\n";
+  }
+  for (const IotWorkload& w : fig8_iot_workloads()) {
+    core::HulkVSoc soc;  // the shipped SoC: HyperRAM + LLC
+    auto [program, args] = w.setup(soc);
+    kernels::run_host_program(soc, program, args);
+    lines += w.name + " warm " + hex_digest(soc.state_digest()) + "\n";
+    kernels::run_host_program(soc, program, args);
+    lines += w.name + " timed " + hex_digest(soc.state_digest()) + "\n";
+  }
+  expect_golden("host_digests.txt", lines);
+}
+
+// ---------------------------------------------------------------------
+// Serve rows
+// ---------------------------------------------------------------------
+
+TEST(GoldenServe, NoCacheSuiteRowsPerMemoryConfig) {
+  serve::Service service;
+  std::string lines;
+  for (u8 mem = 0; mem < 3; ++mem) {
+    for (u8 llc = 0; llc < 2; ++llc) {
+      serve::Request suite;
+      suite.type = serve::MsgType::kSuite;
+      suite.flags = serve::kFlagNoCache;
+      suite.point = {0, mem, llc};
+      for (const serve::PointParams& point : serve::expand_points(suite)) {
+        const serve::Service::PointResult result =
+            service.run_point(point, /*no_cache=*/true, nullptr);
+        ASSERT_EQ(result.status, serve::Status::kOk);
+        const serve::ResultRow& row = result.row;
+        lines += std::string(serve::workload_name(row.workload)) +
+                 " mem=" + std::to_string(row.mem_kind) +
+                 " llc=" + std::to_string(row.llc) +
+                 " cycles=" + std::to_string(row.cycles) +
+                 " instret=" + std::to_string(row.instret) +
+                 " exit=" + std::to_string(row.exit_code) + "\n";
+      }
+    }
+  }
+  expect_golden("serve_rows.txt", lines);
+}
+
+// ---------------------------------------------------------------------
+// Observed runs: --profile and --trace
+// ---------------------------------------------------------------------
+
+/// A fresh scratch directory, removed with its files on destruction.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/hulkv_golden.XXXXXX";
+    if (mkdtemp(tmpl) != nullptr) path_ = tmpl;
+  }
+  ~TempDir() {
+    for (const std::string& f : files_) std::remove(f.c_str());
+    if (!path_.empty()) rmdir(path_.c_str());
+  }
+  bool ok() const { return !path_.empty(); }
+  /// Path of `name` inside the directory, deleted with it.
+  std::string file(const std::string& name) {
+    files_.push_back(path_ + "/" + name);
+    return files_.back();
+  }
+
+ private:
+  std::string path_;
+  std::vector<std::string> files_;
+};
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Size and FNV-1a digest of a file's bytes, one line.
+std::string size_and_digest(const std::string& bytes) {
+  return std::to_string(bytes.size()) + " bytes fnv1a " +
+         hex_digest(snapshot::fnv1a(snapshot::kFnvOffset, bytes.data(),
+                                    bytes.size())) +
+         "\n";
+}
+
+TEST(GoldenObserved, Fig6ProfileFoldedAndAnnotated) {
+  TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  const std::string out = dir.file("fig6");
+  const std::string folded = dir.file("fig6.folded");
+  const std::string annotated = dir.file("fig6.annotated.txt");
+  run_stdout(std::string(HULKV_BENCH_DIR) + "/fig6_speedup --profile=" + out);
+  expect_golden("profile/fig6_speedup.folded", read_file(folded));
+  expect_golden("profile/fig6_speedup.annotated.fnv1a",
+                size_and_digest(read_file(annotated)));
+}
+
+TEST(GoldenObserved, Fig6TraceDigest) {
+  TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  const std::string trace = dir.file("fig6.json");
+  run_stdout(std::string(HULKV_BENCH_DIR) + "/fig6_speedup --trace=" + trace);
+  expect_golden("trace/fig6_speedup.json.fnv1a",
+                size_and_digest(read_file(trace)));
 }
 
 }  // namespace
