@@ -22,7 +22,6 @@
 #include "kernels/iot_benchmarks.hpp"
 #include "common/rng.hpp"
 #include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "runtime/offload.hpp"
@@ -296,7 +295,6 @@ void latency_ladder(const batch::SweepEngine& engine,
 
 int main(int argc, char** argv) {
   const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
-  isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
 

@@ -19,7 +19,6 @@
 #include "power/energy.hpp"
 #include "power/power_model.hpp"
 #include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "runtime/offload.hpp"
@@ -294,7 +293,6 @@ int main(int argc, char** argv) {
   namespace report = hulkv::report;
   const report::BenchOptions options =
       report::bench_args_or_exit(argc, argv, {.writes_trace = true});
-  isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
   if (!options.trace_path.empty()) trace::sink().enable();

@@ -27,7 +27,6 @@
 #include "core/soc.hpp"
 #include "kernels/iot_benchmarks.hpp"
 #include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -101,7 +100,6 @@ Point run_stride(core::MainMemoryKind kind, bool llc, u32 stride) {
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
   const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
-  isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
 

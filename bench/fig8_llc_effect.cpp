@@ -16,7 +16,6 @@
 #include "kernels/host_kernels.hpp"
 #include "kernels/iot_benchmarks.hpp"
 #include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -128,7 +127,6 @@ std::vector<Workload> workloads() {
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
   const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
-  isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
 

@@ -23,7 +23,6 @@
 #include "kernels/iot_benchmarks.hpp"
 #include "power/energy.hpp"
 #include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -155,7 +154,6 @@ Runner dnn_runner(const apps::Network& network) {
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
   const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
-  isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
 

@@ -25,7 +25,6 @@
 #include "mem/hyperram.hpp"
 #include "profile/profile.hpp"
 #include "serve/service.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -42,15 +41,11 @@ void BM_Decode(benchmark::State& state) {
 }
 BENCHMARK(BM_Decode);
 
-/// Host ISS hot loop at an explicit execution tier. The tier is pinned
-/// per row (not left at the process default) so the interp row stays a
-/// stable baseline and the Threaded row measures exactly the
-/// threaded-code dispatch win (DESIGN.md §15).
-void host_iss_loop(benchmark::State& state, isa::ExecTier tier) {
+/// Host ISS hot loop: threaded-code dispatch (DESIGN.md §15).
+void BM_HostIssLoop(benchmark::State& state) {
   core::SocConfig cfg;
   cfg.main_memory = core::MainMemoryKind::kDdr4;
   core::HulkVSoc soc(cfg);
-  soc.host().set_tier(tier);
   isa::Assembler a(core::layout::kHostCodeBase, true);
   using namespace isa::reg;
   a.li(t0, 100000);
@@ -92,17 +87,7 @@ void host_iss_loop(benchmark::State& state, isa::ExecTier tier) {
       soc.host().decode_blocks().fact_eligible_blocks());
 }
 
-void BM_HostIssLoop(benchmark::State& state) {
-  host_iss_loop(state, isa::ExecTier::kInterp);
-}
 BENCHMARK(BM_HostIssLoop)->Unit(benchmark::kMillisecond);
-
-/// Same loop on the threaded-code tier; compare instr/s against
-/// BM_HostIssLoop for the tier speedup.
-void BM_HostIssLoopThreaded(benchmark::State& state) {
-  host_iss_loop(state, isa::ExecTier::kThreaded);
-}
-BENCHMARK(BM_HostIssLoopThreaded)->Unit(benchmark::kMillisecond);
 
 /// Scoped "profiler collecting" state for the *Profile benchmark
 /// variants: fresh session on entry, prior enabled/disabled state
@@ -123,22 +108,20 @@ class ProfileScope {
   bool was_enabled_;
 };
 
-/// BM_HostIssLoop with the cycle profiler collecting: the profile-on
-/// overhead row (compare instr/s against BM_HostIssLoop).
+/// BM_HostIssLoop with the cycle profiler collecting, so the loop's
+/// observed instantiation runs: the profile-on overhead row (compare
+/// instr/s against BM_HostIssLoop).
 void BM_HostIssLoopProfile(benchmark::State& state) {
   const ProfileScope scope;
   BM_HostIssLoop(state);
 }
 BENCHMARK(BM_HostIssLoopProfile)->Unit(benchmark::kMillisecond);
 
-/// Cluster ISS hot loop at an explicit execution tier (all 8 cores).
-void cluster_iss_loop(benchmark::State& state, isa::ExecTier tier) {
+/// Cluster ISS hot loop (all 8 cores).
+void BM_ClusterIssLoop(benchmark::State& state) {
   core::SocConfig cfg;
   cfg.main_memory = core::MainMemoryKind::kDdr4;
   core::HulkVSoc soc(cfg);
-  for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
-    soc.cluster().core(c).set_tier(tier);
-  }
   isa::Assembler a(0, /*rv64=*/false);
   using namespace isa::reg;
   // Hardware loop over a MAC body: the cluster ISS hot path (block
@@ -191,19 +174,10 @@ void cluster_iss_loop(benchmark::State& state, isa::ExecTier tier) {
   state.counters["eligible_blocks"] = static_cast<double>(eligible);
 }
 
-void BM_ClusterIssLoop(benchmark::State& state) {
-  cluster_iss_loop(state, isa::ExecTier::kInterp);
-}
 BENCHMARK(BM_ClusterIssLoop)->Unit(benchmark::kMillisecond);
 
-/// Same kernel on the threaded-code tier; compare instr/s against
-/// BM_ClusterIssLoop for the tier speedup.
-void BM_ClusterIssLoopThreaded(benchmark::State& state) {
-  cluster_iss_loop(state, isa::ExecTier::kThreaded);
-}
-BENCHMARK(BM_ClusterIssLoopThreaded)->Unit(benchmark::kMillisecond);
-
-/// BM_ClusterIssLoop with the cycle profiler collecting.
+/// BM_ClusterIssLoop with the cycle profiler collecting (the observed
+/// instantiation of the slice loop).
 void BM_ClusterIssLoopProfile(benchmark::State& state) {
   const ProfileScope scope;
   BM_ClusterIssLoop(state);
@@ -482,7 +456,6 @@ int main(int argc, char** argv) {
   namespace report = hulkv::report;
   const report::BenchOptions options =
       report::bench_args_or_exit(argc, argv, {.passes_unknown = true});
-  isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
 
@@ -492,14 +465,13 @@ int main(int argc, char** argv) {
   filtered.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--json" || arg == "--trace" || arg == "--tier") {
+    if (arg == "--json" || arg == "--trace") {
       ++i;
       continue;
     }
     // Optional-value flags: only the = form carries a value.
     if (arg == "--profile" || arg == "--telemetry") continue;
     if (arg.rfind("--json=", 0) == 0 || arg.rfind("--trace=", 0) == 0 ||
-        arg.rfind("--tier=", 0) == 0 ||
         arg.rfind("--profile=", 0) == 0 ||
         arg.rfind("--telemetry=", 0) == 0) {
       continue;

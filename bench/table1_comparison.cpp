@@ -1,7 +1,6 @@
 // Regenerates Table I: comparison with the state of the art.
 #include "core/comparison.hpp"
 #include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -9,7 +8,6 @@ int main(int argc, char** argv) {
   namespace report = hulkv::report;
   using hulkv::core::DeviceEntry;
   const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
-  hulkv::isa::configure_tier(options);
   hulkv::profile::configure(options);
   hulkv::telemetry::configure(options);
 

@@ -2,7 +2,6 @@
 // max power in GF22 FDX) and the Fig. 5 area accounting.
 #include "power/power_model.hpp"
 #include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -10,7 +9,6 @@ int main(int argc, char** argv) {
   namespace report = hulkv::report;
   namespace power = hulkv::power;
   const report::BenchOptions options = report::bench_args_or_exit(argc, argv);
-  hulkv::isa::configure_tier(options);
   hulkv::profile::configure(options);
   hulkv::telemetry::configure(options);
   const power::PowerModel model;

@@ -21,7 +21,8 @@ using namespace hulkv;
 int main(int argc, char** argv) {
   // `--trace out.json` records the full SoC event trace and writes a
   // Perfetto/Chrome-loadable file (chrome://tracing or ui.perfetto.dev).
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
+  const report::BenchOptions options =
+      report::bench_args_or_exit(argc, argv, {.writes_trace = true});
   if (!options.trace_path.empty()) trace::sink().enable();
 
   const u32 m = 48, n = 48, k = 64;

@@ -74,26 +74,6 @@ if [ "$fast" -eq 0 ]; then
     --output-on-failure --no-tests=error
 fi
 
-step "execution-tier differential (fig6/fig8 interp vs threaded)"
-# The threaded tier's bit-identical-timing contract (DESIGN.md §15):
-# figure-bench stdout must be byte-equal between --tier=interp and
-# --tier=threaded. Any divergence is a handler whose cycle accounting
-# drifted from the interpreter.
-tier_dir="$(mktemp -d /tmp/ci_tier.XXXXXX)"
-for bench in fig6_speedup fig8_llc_effect; do
-  "$repo_root/build/bench/$bench" --tier=interp \
-    > "$tier_dir/$bench.interp" 2>/dev/null
-  "$repo_root/build/bench/$bench" --tier=threaded \
-    > "$tier_dir/$bench.threaded" 2>/dev/null
-  if ! cmp -s "$tier_dir/$bench.interp" "$tier_dir/$bench.threaded"; then
-    echo "ci: tier differential FAILED — $bench stdout differs between" \
-         "interp and threaded tiers:" >&2
-    diff "$tier_dir/$bench.interp" "$tier_dir/$bench.threaded" | head -40 >&2
-    exit 1
-  fi
-done
-rm -rf "$tier_dir"
-
 step "profiler smoke (fig8 --profile, conservation checked in-process)"
 profile_out="$(mktemp -u /tmp/ci_profile.XXXXXX)"
 BUILD_DIR="$repo_root/build" "$repo_root/scripts/profile.sh" \

@@ -38,20 +38,20 @@ for candidate in \
 done
 
 # Threaded handler-table invariants (DESIGN.md §15) — structural
-# properties of the execution-tier code that the compiler can't state:
+# properties of the dispatch code that the compiler can't state:
 #  * every core resolver keeps its explicit null-handler default, so an
-#    op without a handler deopts to the interpreter instead of
-#    resolving to garbage;
+#    op without a handler takes the trap path instead of resolving to
+#    garbage;
 #  * each dispatch loop has exactly one typed indirect-call site (the
 #    reinterpret_cast back from AnyFn) — handlers are never invoked
 #    from anywhere else;
 #  * the 32-byte ThreadedInstr size assert stays in place (two entries
-#    per cache line is part of the tier's perf contract).
+#    per cache line is part of the dispatch loops' perf contract).
 echo "== threaded handler-table checks =="
 tier_status=0
 for f in "$repo_root/src/host/cva6.cpp" "$repo_root/src/cluster/pmca_core.cpp"; do
   if ! grep -q 'HandlerInfo{nullptr' "$f"; then
-    echo "lint: $f: resolver lost its null-handler (deopt) default" >&2
+    echo "lint: $f: resolver lost its null-handler (trap) default" >&2
     tier_status=1
   fi
 done

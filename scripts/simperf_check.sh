@@ -23,10 +23,6 @@
 #       tracing-off request path (StageClock == nullptr) must not pay
 #       for the DESIGN.md §17 observability plane. The tracing-on
 #       overhead (BM_ServePointCachedObs) is printed informationally.
-#
-# The *IssLoopThreaded rows gate the threaded execution tier's absolute
-# throughput like any other row; the threaded-vs-interp speedup is
-# additionally printed informationally at the end.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -147,18 +143,6 @@ if SERVE_OBS_OFF_ROW in fresh and obs_row in fresh and \
     overhead = (1.0 - fresh[obs_row] / fresh[SERVE_OBS_OFF_ROW]) * 100.0
     print(f"{obs_row}: {fresh[obs_row]:,.0f} points/s "
           f"({overhead:.1f}% tracing overhead vs {SERVE_OBS_OFF_ROW})")
-
-# Threaded-tier speedup (informational — the regression loop above
-# already gates both tiers' absolute throughput): how much faster the
-# threaded-code tier retires instructions than the interpreter on the
-# same workload (DESIGN.md §15; the *IssLoop rows pin kInterp, the
-# *IssLoopThreaded rows pin kThreaded).
-for name in PROFILE_OFF_ROWS:
-    variant = name + "Threaded"
-    if name in fresh and variant in fresh and fresh[name] > 0:
-        speedup = fresh[variant] / fresh[name]
-        print(f"{variant}: {fresh[variant]:,.0f} instr/s "
-              f"({speedup:.2f}x speedup over {name})")
 
 if status:
     print("simperf_check: FAILED")

@@ -1,10 +1,10 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "cluster/pmca_core.hpp"
+#include "common/hex.hpp"
 #include "isa/instr.hpp"
 
 namespace hulkv::analysis {
@@ -48,12 +48,6 @@ struct MemRegion {
   Addr base;
   u64 size;
 };
-
-std::string hex(u64 v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
-}
 
 std::string_view abi_name(u8 r) {
   static constexpr std::string_view kNames[32] = {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "cluster/pmca_core.hpp"
+#include "common/hex.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 
@@ -146,15 +147,7 @@ struct LoopChecker {
       }
     }
   }
-
-  static std::string hex(Addr addr) {
-    std::ostringstream os;
-    os << std::hex << addr;
-    return os.str();
-  }
 };
-
-std::string hex(Addr addr) { return LoopChecker::hex(addr); }
 
 /// Collect armed hardware loops: every lp.setup, plus split-form
 /// lp.starti/lp.endi pairs when they are unambiguous.

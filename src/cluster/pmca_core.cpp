@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/bitutil.hpp"
+#include "common/hex.hpp"
 #include "common/half.hpp"
 #include "common/log.hpp"
 #include "isa/disasm.hpp"
@@ -195,668 +196,47 @@ void PmcaCore::run_slice(u64 limit, u64 max_instrs) {
   // scheduling order (run-ahead would reorder the sink's event stream;
   // cycles are identical either way).
   const bool lockstep = trace_ || trace::enabled();
-  // Tier selection (DESIGN.md §15): the threaded tier self-deoptimizes
-  // to the interpreter whenever the profiler is collecting (per-retire
-  // attribution brackets live in the interpreter loop) or lockstep
-  // tracing is on.
-  if (!lockstep && !profile::enabled() &&
-      tier_ == isa::ExecTier::kThreaded) {
-    run_slice_threaded(limit, max_instrs);
-    return;
-  }
-  cursor_.block = nullptr;  // the interpreter moves pc_ and fetch_line_
-  // Resolved once per slice; disabled cost per instruction is the null
-  // check on this local.
-  run_slice_interp(limit, max_instrs, lockstep,
-                   profile::attach(prof_handle_, stats_.name()));
-}
-
-void PmcaCore::run_slice_interp(u64 limit, u64 max_instrs, bool lockstep,
-                                profile::CoreProfile* prof) {
-  u64 executed = 0;
-  // Outer loop: one decoded block per iteration (a single cache probe,
-  // usually the memoized last block for loop bodies). Inner loop: the
-  // same per-instruction sequence as the old step(), so per-line I-cache
-  // timing, trace events and hardware-loop checks are bit-identical.
-  while (true) {
-    const isa::DecodedBlock& block = blocks_.block_at(pc_);
-    const size_t count = block.instrs.size();
-    const u64 shared_mask = lockstep ? ~u64{0} : block.shared_mask;
-    Addr seq_pc = block.start;
-    for (size_t i = 0; i < count; ++i) {
-      // An instruction that may touch cross-core state — memory, an
-      // envcall/trap, or a fetch missing the core's private I-cache —
-      // may only execute while this core is still the global laggard,
-      // so shared-resource reservations keep the exact (cycle, core_id)
-      // order of per-instruction min-clock scheduling. Pure ALU and
-      // control flow fetching from the private I-cache are core-local
-      // and run ahead of the horizon (their interleaving is
-      // unobservable).
-      const bool shared =
-          ((shared_mask >> i) & 1) != 0 ||
-          (align_down(pc_, 32) != fetch_line_ &&
-           !icache_->private_hit(config_.core_id, pc_));
-      if (shared && at_limit(limit)) {
-        return;  // yield before executing; the scheduler re-picks the min
-      }
-      const Instr& in = block.instrs[i];
-      if (prof != nullptr) prof->begin_instr(cycle_);
-      fetch_timing(pc_);
-      if (trace_) {
-        log(LogLevel::kTrace, stats_.name(), "cyc=", cycle_, " pc=0x",
-            std::hex, pc_, std::dec, "  ", isa::disasm(in));
-      }
-      next_pc_ = pc_ + 4;
-      issue_cycle_ = cycle_;
-      cycle_ += 1;
-      const bool was_envcall = in.op == Op::kEcall;
-      exec(in);
-      ++instret_;
-      ++executed;
-      if (prof != nullptr) prof->end_instr(block, i, cycle_);
-      if (trace::enabled()) trace_commit();
-      if (state_ == State::kRunning || state_ == State::kBlocked) {
-        apply_hwloops();
-        pc_ = next_pc_;
-      }
-      // Yield when the core stopped running (exit / barrier), an envcall
-      // retired (it may have woken other cores — the ready set changed
-      // under the scheduler), or the instruction budget is spent.
-      if (state_ != State::kRunning || was_envcall) return;
-      if (executed >= max_instrs) return;
-      seq_pc += 4;
-      if (pc_ != seq_pc) break;  // taken branch or hardware-loop back edge
-    }
+  if (lockstep || profile::enabled()) {
+    // Resolved once per slice; the unobserved loop carries none of the
+    // per-retire observation code.
+    slice<true>(limit, max_instrs, lockstep,
+                profile::attach(prof_handle_, stats_.name()));
+  } else {
+    slice<false>(limit, max_instrs, false, nullptr);
   }
 }
 
-void PmcaCore::exec(const Instr& in) {
-  const u32 rs1 = x_[in.rs1];
-  const u32 rs2 = x_[in.rs2];
-  const auto wr = [this, &in](u32 v) { set_reg(in.rd, v); };
-  const auto branch_to = [this](i64 offset) {
-    next_pc_ = pc_ + offset;
-    cycle_ += config_.taken_branch_penalty;
-    ctr_taken_branches_ += 1;
-  };
-
+// The trap ops: environment calls, breakpoints, and every op the PMCA
+// has no handler for. Runs with pc_ at the trapping instruction and its
+// issue cycle already paid, so env handlers and error messages see the
+// exact pc.
+void PmcaCore::trap(const Instr& in) {
   switch (in.op) {
-    case Op::kLui:
-      wr(static_cast<u32>(in.imm));
-      break;
-    case Op::kAuipc:
-      wr(static_cast<u32>(pc_) + static_cast<u32>(in.imm));
-      break;
-    case Op::kJal:
-      wr(static_cast<u32>(pc_) + 4);
-      next_pc_ = pc_ + in.imm;
-      cycle_ += config_.jump_penalty;
-      break;
-    case Op::kJalr:
-      wr(static_cast<u32>(pc_) + 4);
-      next_pc_ = (rs1 + in.imm) & ~1u;
-      cycle_ += config_.jump_penalty;
-      break;
-    case Op::kBeq:
-      if (rs1 == rs2) branch_to(in.imm);
-      break;
-    case Op::kBne:
-      if (rs1 != rs2) branch_to(in.imm);
-      break;
-    case Op::kBlt:
-      if (static_cast<i32>(rs1) < static_cast<i32>(rs2)) branch_to(in.imm);
-      break;
-    case Op::kBge:
-      if (static_cast<i32>(rs1) >= static_cast<i32>(rs2)) branch_to(in.imm);
-      break;
-    case Op::kBltu:
-      if (rs1 < rs2) branch_to(in.imm);
-      break;
-    case Op::kBgeu:
-      if (rs1 >= rs2) branch_to(in.imm);
-      break;
-
-    case Op::kLb:
-      wr(load(rs1 + in.imm, 1, true, issue_cycle_));
-      break;
-    case Op::kLh:
-      wr(load(rs1 + in.imm, 2, true, issue_cycle_));
-      break;
-    case Op::kLw:
-      wr(load(rs1 + in.imm, 4, false, issue_cycle_));
-      break;
-    case Op::kLbu:
-      wr(load(rs1 + in.imm, 1, false, issue_cycle_));
-      break;
-    case Op::kLhu:
-      wr(load(rs1 + in.imm, 2, false, issue_cycle_));
-      break;
-    case Op::kSb:
-      store(rs1 + in.imm, rs2, 1, issue_cycle_);
-      break;
-    case Op::kSh:
-      store(rs1 + in.imm, rs2, 2, issue_cycle_);
-      break;
-    case Op::kSw:
-      store(rs1 + in.imm, rs2, 4, issue_cycle_);
-      break;
-
-    // Post-increment variants: access at rs1, then rs1 += imm, same cost
-    // as the plain access (the adder is folded into the LSU).
-    case Op::kPLbPost:
-      wr(load(rs1, 1, true, issue_cycle_));
-      set_reg(in.rs1, rs1 + in.imm);
-      break;
-    case Op::kPLbuPost:
-      wr(load(rs1, 1, false, issue_cycle_));
-      set_reg(in.rs1, rs1 + in.imm);
-      break;
-    case Op::kPLhPost:
-      wr(load(rs1, 2, true, issue_cycle_));
-      set_reg(in.rs1, rs1 + in.imm);
-      break;
-    case Op::kPLhuPost:
-      wr(load(rs1, 2, false, issue_cycle_));
-      set_reg(in.rs1, rs1 + in.imm);
-      break;
-    case Op::kPLwPost:
-      wr(load(rs1, 4, false, issue_cycle_));
-      set_reg(in.rs1, rs1 + in.imm);
-      break;
-    case Op::kPSbPost:
-      store(rs1, rs2, 1, issue_cycle_);
-      set_reg(in.rs1, rs1 + in.imm);
-      break;
-    case Op::kPShPost:
-      store(rs1, rs2, 2, issue_cycle_);
-      set_reg(in.rs1, rs1 + in.imm);
-      break;
-    case Op::kPSwPost:
-      store(rs1, rs2, 4, issue_cycle_);
-      set_reg(in.rs1, rs1 + in.imm);
-      break;
-
-    case Op::kAddi:
-      wr(rs1 + in.imm);
-      break;
-    case Op::kSlti:
-      wr(static_cast<i32>(rs1) < in.imm ? 1 : 0);
-      break;
-    case Op::kSltiu:
-      wr(rs1 < static_cast<u32>(in.imm) ? 1 : 0);
-      break;
-    case Op::kXori:
-      wr(rs1 ^ static_cast<u32>(in.imm));
-      break;
-    case Op::kOri:
-      wr(rs1 | static_cast<u32>(in.imm));
-      break;
-    case Op::kAndi:
-      wr(rs1 & static_cast<u32>(in.imm));
-      break;
-    case Op::kSlli:
-      wr(rs1 << (in.imm & 31));
-      break;
-    case Op::kSrli:
-      wr(rs1 >> (in.imm & 31));
-      break;
-    case Op::kSrai:
-      wr(static_cast<u32>(static_cast<i32>(rs1) >> (in.imm & 31)));
-      break;
-    case Op::kAdd:
-      wr(rs1 + rs2);
-      break;
-    case Op::kSub:
-      wr(rs1 - rs2);
-      break;
-    case Op::kSll:
-      wr(rs1 << (rs2 & 31));
-      break;
-    case Op::kSlt:
-      wr(static_cast<i32>(rs1) < static_cast<i32>(rs2) ? 1 : 0);
-      break;
-    case Op::kSltu:
-      wr(rs1 < rs2 ? 1 : 0);
-      break;
-    case Op::kXor:
-      wr(rs1 ^ rs2);
-      break;
-    case Op::kSrl:
-      wr(rs1 >> (rs2 & 31));
-      break;
-    case Op::kSra:
-      wr(static_cast<u32>(static_cast<i32>(rs1) >> (rs2 & 31)));
-      break;
-    case Op::kOr:
-      wr(rs1 | rs2);
-      break;
-    case Op::kAnd:
-      wr(rs1 & rs2);
-      break;
-
-    case Op::kMul:
-      wr(rs1 * rs2);
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kMulh:
-      wr(static_cast<u32>(
-          (static_cast<i64>(static_cast<i32>(rs1)) *
-           static_cast<i64>(static_cast<i32>(rs2))) >> 32));
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kMulhsu:
-      wr(static_cast<u32>((static_cast<i64>(static_cast<i32>(rs1)) *
-                           static_cast<i64>(static_cast<u64>(rs2))) >> 32));
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kMulhu:
-      wr(static_cast<u32>(
-          (static_cast<u64>(rs1) * static_cast<u64>(rs2)) >> 32));
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kDiv: {
-      const i32 a = static_cast<i32>(rs1), b = static_cast<i32>(rs2);
-      i32 r;
-      if (b == 0) {
-        r = -1;
-      } else if (a == std::numeric_limits<i32>::min() && b == -1) {
-        r = a;
-      } else {
-        r = a / b;
-      }
-      wr(static_cast<u32>(r));
-      cycle_ += config_.div_latency;
-      break;
-    }
-    case Op::kDivu:
-      wr(rs2 == 0 ? ~0u : rs1 / rs2);
-      cycle_ += config_.div_latency;
-      break;
-    case Op::kRem: {
-      const i32 a = static_cast<i32>(rs1), b = static_cast<i32>(rs2);
-      i32 r;
-      if (b == 0) {
-        r = a;
-      } else if (a == std::numeric_limits<i32>::min() && b == -1) {
-        r = 0;
-      } else {
-        r = a % b;
-      }
-      wr(static_cast<u32>(r));
-      cycle_ += config_.div_latency;
-      break;
-    }
-    case Op::kRemu:
-      wr(rs2 == 0 ? rs1 : rs1 % rs2);
-      cycle_ += config_.div_latency;
-      break;
-
-    case Op::kFence:
-      break;
     case Op::kEcall:
       HULKV_CHECK(static_cast<bool>(env_),
                   "PMCA ecall without an environment handler");
       env_(*this);
       break;
     case Op::kEbreak:
-      throw SimError("PMCA ebreak at pc=0x" + std::to_string(pc_));
-    case Op::kCsrrw:
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-    case Op::kCsrrwi:
-    case Op::kCsrrsi:
-    case Op::kCsrrci: {
-      const u16 csr = static_cast<u16>(in.imm);
-      u32 value = 0;
-      if (csr == isa::csr::kMhartid) {
-        value = config_.core_id;
-      } else if (csr == isa::csr::kCycle || csr == isa::csr::kMcycle) {
-        value = static_cast<u32>(cycle_);
-      } else if (csr == isa::csr::kInstret || csr == isa::csr::kMinstret) {
-        value = static_cast<u32>(instret_);
-      }
-      wr(value);
-      break;
-    }
-
-    // ---- Xpulp hardware loops ----
-    case Op::kLpStarti:
-      loops_[in.rd & 1].start = pc_ + in.imm;
-      break;
-    case Op::kLpEndi:
-      loops_[in.rd & 1].end = pc_ + in.imm;
-      break;
-    case Op::kLpCount:
-      HULKV_CHECK(rs1 >= 1, "hardware loop count must be >= 1");
-      loops_[in.rd & 1].count = rs1;
-      break;
-    case Op::kLpCounti:
-      HULKV_CHECK(in.imm >= 1, "hardware loop count must be >= 1");
-      loops_[in.rd & 1].count = static_cast<u32>(in.imm);
-      break;
-    case Op::kLpSetup: {
-      HULKV_CHECK(rs1 >= 1, "hardware loop count must be >= 1");
-      HwLoop& loop = loops_[in.rd & 1];
-      loop.start = pc_ + 4;
-      loop.end = pc_ + in.imm;
-      loop.count = rs1;
-      break;
-    }
-
-    // ---- Xpulp scalar DSP ----
-    case Op::kPMac:
-      wr(x_[in.rd] + rs1 * rs2);
-      cycle_ += config_.mul_latency;
-      ctr_mac_ops_ += 1;
-      break;
-    case Op::kPMsu:
-      wr(x_[in.rd] - rs1 * rs2);
-      cycle_ += config_.mul_latency;
-      ctr_mac_ops_ += 1;
-      break;
-    case Op::kPAbs: {
-      const i32 v = static_cast<i32>(rs1);
-      wr(static_cast<u32>(v < 0 ? -v : v));
-      break;
-    }
-    case Op::kPMin:
-      wr(static_cast<i32>(rs1) < static_cast<i32>(rs2) ? rs1 : rs2);
-      break;
-    case Op::kPMax:
-      wr(static_cast<i32>(rs1) > static_cast<i32>(rs2) ? rs1 : rs2);
-      break;
-    case Op::kPClip:
-      HULKV_CHECK(in.imm >= 1 && in.imm <= 31, "p.clip width out of range");
-      wr(static_cast<u32>(clip(static_cast<i32>(rs1),
-                               static_cast<unsigned>(in.imm))));
-      break;
-    case Op::kPExths:
-      wr(static_cast<u32>(sign_extend(rs1 & 0xFFFF, 16)));
-      break;
-    case Op::kPExthz:
-      wr(rs1 & 0xFFFFu);
-      break;
-    case Op::kPExtbs:
-      wr(static_cast<u32>(sign_extend(rs1 & 0xFF, 8)));
-      break;
-    case Op::kPExtbz:
-      wr(rs1 & 0xFFu);
-      break;
-
-    // ---- Xpulp integer SIMD ----
-    case Op::kPvAddB:
-    case Op::kPvSubB:
-    case Op::kPvMinB:
-    case Op::kPvMaxB: {
-      u32 out = 0;
-      for (int lane = 0; lane < 4; ++lane) {
-        const i8 a = static_cast<i8>(rs1 >> (8 * lane));
-        const i8 b = static_cast<i8>(rs2 >> (8 * lane));
-        i32 r = 0;
-        switch (in.op) {
-          case Op::kPvAddB: r = static_cast<i8>(a + b); break;
-          case Op::kPvSubB: r = static_cast<i8>(a - b); break;
-          case Op::kPvMinB: r = std::min(a, b); break;
-          default: r = std::max(a, b); break;
-        }
-        out |= (static_cast<u32>(r) & 0xFFu) << (8 * lane);
-      }
-      wr(out);
-      ctr_simd_ops_ += 1;
-      break;
-    }
-    case Op::kPvAddH:
-    case Op::kPvSubH:
-    case Op::kPvMinH:
-    case Op::kPvMaxH:
-    case Op::kPvSraH: {
-      u32 out = 0;
-      for (int lane = 0; lane < 2; ++lane) {
-        const i16 a = static_cast<i16>(rs1 >> (16 * lane));
-        const i16 b = static_cast<i16>(rs2 >> (16 * lane));
-        i32 r = 0;
-        switch (in.op) {
-          case Op::kPvAddH: r = static_cast<i16>(a + b); break;
-          case Op::kPvSubH: r = static_cast<i16>(a - b); break;
-          case Op::kPvMinH: r = std::min(a, b); break;
-          case Op::kPvMaxH: r = std::max(a, b); break;
-          default: r = static_cast<i16>(a >> (rs2 & 15)); break;
-        }
-        out |= (static_cast<u32>(r) & 0xFFFFu) << (16 * lane);
-      }
-      wr(out);
-      ctr_simd_ops_ += 1;
-      break;
-    }
-    case Op::kPvDotspB:
-    case Op::kPvSdotspB: {
-      i32 acc = in.op == Op::kPvSdotspB ? static_cast<i32>(x_[in.rd]) : 0;
-      for (int lane = 0; lane < 4; ++lane) {
-        acc += static_cast<i32>(static_cast<i8>(rs1 >> (8 * lane))) *
-               static_cast<i32>(static_cast<i8>(rs2 >> (8 * lane)));
-      }
-      wr(static_cast<u32>(acc));
-      cycle_ += config_.mul_latency;
-      ctr_simd_ops_ += 1;
-      ctr_mac_ops_ += 4;
-      break;
-    }
-    case Op::kPvSdotspBMem: {
-      // MAC & Load: one fused cycle — load 4 int8 through the LSU port,
-      // dot them into the accumulator, post-increment the pointer.
-      const u32 vec = load(rs1, 4, false, issue_cycle_);
-      i32 acc = static_cast<i32>(x_[in.rd]);
-      for (int lane = 0; lane < 4; ++lane) {
-        acc += static_cast<i32>(static_cast<i8>(vec >> (8 * lane))) *
-               static_cast<i32>(static_cast<i8>(rs2 >> (8 * lane)));
-      }
-      wr(acc);
-      set_reg(in.rs1, rs1 + 4);
-      ctr_simd_ops_ += 1;
-      ctr_mac_ops_ += 4;
-      break;
-    }
-    case Op::kPvSdotspHMem: {
-      const u32 vec = load(rs1, 4, false, issue_cycle_);
-      i32 acc = static_cast<i32>(x_[in.rd]);
-      for (int lane = 0; lane < 2; ++lane) {
-        acc += static_cast<i32>(static_cast<i16>(vec >> (16 * lane))) *
-               static_cast<i32>(static_cast<i16>(rs2 >> (16 * lane)));
-      }
-      wr(acc);
-      set_reg(in.rs1, rs1 + 4);
-      ctr_simd_ops_ += 1;
-      ctr_mac_ops_ += 2;
-      break;
-    }
-    case Op::kPvDotspH:
-    case Op::kPvSdotspH: {
-      i32 acc = in.op == Op::kPvSdotspH ? static_cast<i32>(x_[in.rd]) : 0;
-      for (int lane = 0; lane < 2; ++lane) {
-        acc += static_cast<i32>(static_cast<i16>(rs1 >> (16 * lane))) *
-               static_cast<i32>(static_cast<i16>(rs2 >> (16 * lane)));
-      }
-      wr(static_cast<u32>(acc));
-      cycle_ += config_.mul_latency;
-      ctr_simd_ops_ += 1;
-      ctr_mac_ops_ += 2;
-      break;
-    }
-
-    // ---- F (scalar fp32) ----
-    case Op::kFlw:
-      set_freg(in.rd, load(rs1 + in.imm, 4, false, issue_cycle_));
-      break;
-    case Op::kFsw:
-      store(rs1 + in.imm, f_[in.rs2], 4, issue_cycle_);
-      break;
-    case Op::kFaddS:
-      set_freg(in.rd, raw32(f32(f_[in.rs1]) + f32(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFsubS:
-      set_freg(in.rd, raw32(f32(f_[in.rs1]) - f32(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmulS:
-      set_freg(in.rd, raw32(f32(f_[in.rs1]) * f32(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFdivS:
-      set_freg(in.rd, raw32(f32(f_[in.rs1]) / f32(f_[in.rs2])));
-      cycle_ += 12;
-      break;
-    case Op::kFsqrtS:
-      set_freg(in.rd, raw32(std::sqrt(f32(f_[in.rs1]))));
-      cycle_ += 12;
-      break;
-    case Op::kFmaddS:
-      set_freg(in.rd, raw32(std::fma(f32(f_[in.rs1]), f32(f_[in.rs2]),
-                                     f32(f_[in.rs3]))));
-      cycle_ += config_.fpu_latency;
-      ctr_mac_ops_ += 1;
-      break;
-    case Op::kFmsubS:
-      set_freg(in.rd, raw32(std::fma(f32(f_[in.rs1]), f32(f_[in.rs2]),
-                                     -f32(f_[in.rs3]))));
-      cycle_ += config_.fpu_latency;
-      ctr_mac_ops_ += 1;
-      break;
-    case Op::kFsgnjS:
-      set_freg(in.rd,
-               (f_[in.rs1] & 0x7FFFFFFFu) | (f_[in.rs2] & 0x80000000u));
-      break;
-    case Op::kFsgnjnS:
-      set_freg(in.rd,
-               (f_[in.rs1] & 0x7FFFFFFFu) | (~f_[in.rs2] & 0x80000000u));
-      break;
-    case Op::kFsgnjxS:
-      set_freg(in.rd, f_[in.rs1] ^ (f_[in.rs2] & 0x80000000u));
-      break;
-    case Op::kFminS:
-      set_freg(in.rd, raw32(std::fmin(f32(f_[in.rs1]), f32(f_[in.rs2]))));
-      break;
-    case Op::kFmaxS:
-      set_freg(in.rd, raw32(std::fmax(f32(f_[in.rs1]), f32(f_[in.rs2]))));
-      break;
-    case Op::kFeqS:
-      wr(f32(f_[in.rs1]) == f32(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFltS:
-      wr(f32(f_[in.rs1]) < f32(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFleS:
-      wr(f32(f_[in.rs1]) <= f32(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFcvtWS: {
-      const float v = f32(f_[in.rs1]);
-      i32 r;
-      if (std::isnan(v)) {
-        r = std::numeric_limits<i32>::max();
-      } else if (v >= 2147483647.0f) {
-        r = std::numeric_limits<i32>::max();
-      } else if (v <= -2147483648.0f) {
-        r = std::numeric_limits<i32>::min();
-      } else {
-        r = static_cast<i32>(std::nearbyintf(v));
-      }
-      wr(static_cast<u32>(r));
-      cycle_ += config_.fpu_latency;
-      break;
-    }
-    case Op::kFcvtSW:
-      set_freg(in.rd, raw32(static_cast<float>(static_cast<i32>(rs1))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmvXW:
-      wr(f_[in.rs1]);
-      break;
-    case Op::kFmvWX:
-      set_freg(in.rd, rs1);
-      break;
-
-    // ---- Xpulp packed FP16 SIMD ----
-    case Op::kVfaddH:
-      set_freg(in.rd, fp16_lanes(f_[in.rs1], f_[in.rs2],
-                                 [](float a, float b) { return a + b; }));
-      cycle_ += config_.fpu_latency;
-      ctr_simd_ops_ += 1;
-      break;
-    case Op::kVfsubH:
-      set_freg(in.rd, fp16_lanes(f_[in.rs1], f_[in.rs2],
-                                 [](float a, float b) { return a - b; }));
-      cycle_ += config_.fpu_latency;
-      ctr_simd_ops_ += 1;
-      break;
-    case Op::kVfmulH:
-      set_freg(in.rd, fp16_lanes(f_[in.rs1], f_[in.rs2],
-                                 [](float a, float b) { return a * b; }));
-      cycle_ += config_.fpu_latency;
-      ctr_simd_ops_ += 1;
-      break;
-    case Op::kVfmacH: {
-      u32 out = 0;
-      for (int lane = 0; lane < 2; ++lane) {
-        const float a =
-            half_bits_to_float(static_cast<u16>(f_[in.rs1] >> (16 * lane)));
-        const float b =
-            half_bits_to_float(static_cast<u16>(f_[in.rs2] >> (16 * lane)));
-        const float d =
-            half_bits_to_float(static_cast<u16>(f_[in.rd] >> (16 * lane)));
-        out |= static_cast<u32>(float_to_half_bits(std::fma(a, b, d)))
-               << (16 * lane);
-      }
-      set_freg(in.rd, out);
-      cycle_ += config_.fpu_latency;
-      ctr_simd_ops_ += 1;
-      ctr_mac_ops_ += 2;
-      break;
-    }
-    case Op::kVfdotpexSH: {
-      // FP16 dot product with FP32 accumulation (SIMD fp16 path feeding
-      // a wider accumulator, as in the PULP "vfdotpex" family).
-      float acc = f32(f_[in.rd]);
-      for (int lane = 0; lane < 2; ++lane) {
-        const float a =
-            half_bits_to_float(static_cast<u16>(f_[in.rs1] >> (16 * lane)));
-        const float b =
-            half_bits_to_float(static_cast<u16>(f_[in.rs2] >> (16 * lane)));
-        acc = std::fma(a, b, acc);
-      }
-      set_freg(in.rd, raw32(acc));
-      cycle_ += config_.fpu_latency;
-      ctr_simd_ops_ += 1;
-      ctr_mac_ops_ += 2;
-      break;
-    }
-    case Op::kVfcvtHS: {
-      // Pack cvt(rs1 fp32), cvt(rs2 fp32) into two fp16 lanes.
-      const u16 lo = float_to_half_bits(f32(f_[in.rs1]));
-      const u16 hi = float_to_half_bits(f32(f_[in.rs2]));
-      set_freg(in.rd, static_cast<u32>(lo) | (static_cast<u32>(hi) << 16));
-      cycle_ += config_.fpu_latency;
-      break;
-    }
-
+      throw SimError("PMCA ebreak at pc=0x" + hex(pc_));
     default:
       throw SimError("PMCA cannot execute '" +
                      std::string(isa::mnemonic(in.op)) + "' at pc=0x" +
-                     std::to_string(pc_) +
-                     " (RV64/D instructions are host-only)");
+                     hex(pc_) + " (RV64/D instructions are host-only)");
   }
 }
 
-// ---- threaded execution tier (DESIGN.md §15) ----
+// ---- instruction handlers (DESIGN.md §15) ----
 //
 // One static handler per PMCA op, `void(PmcaCore&, const
-// ThreadedInstr&)`. Same ABI contract as the host table: when a handler
-// runs, `cycle_` already includes the static cost (1-cycle issue +
-// fixed latency folded into ThreadedInstr::cyc), `issue_cycle_` holds
-// the pre-issue cycle, `next_pc_` is the sequential successor and
-// `pc_ == t.pc`. Handlers perform every dynamic-cost and stat-counter
-// side effect of the matching exec() case in the same order; control
-// ops write `next_pc_` (the dispatch loop applies hardware loops and
-// commits `pc_ = next_pc_` per retire, exactly like the interpreter).
+// ThreadedInstr&)`: the only semantics of each instruction. Same ABI as
+// the host table: when a handler runs, `cycle_` already includes the
+// static cost (1-cycle issue + fixed latency folded into
+// ThreadedInstr::cyc), `issue_cycle_` holds the pre-issue cycle,
+// `next_pc_` is the sequential successor and `pc_ == t.pc`. Handlers
+// perform every dynamic-cost and stat-counter side effect; control ops
+// write `next_pc_` (the dispatch loop applies hardware loops and commits
+// `pc_ = next_pc_` per retire).
 struct ThreadedPmca {
   using TI = isa::threaded::ThreadedInstr;
 
@@ -1495,8 +875,8 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
     case Op::kPvSdotspB: return lat(&H::pv_dotsp_b<true>, cfg.mul_latency);
     case Op::kPvDotspH: return lat(&H::pv_dotsp_h<false>, cfg.mul_latency);
     case Op::kPvSdotspH: return lat(&H::pv_dotsp_h<true>, cfg.mul_latency);
-    // The fused MAC-&-load pair matches exec(): LSU timing only, no
-    // extra multiplier latency.
+    // The fused MAC-&-load pair is LSU-timed only: no extra multiplier
+    // latency.
     case Op::kPvSdotspBMem: return plain(&H::pv_sdotsp_b_mem);
     case Op::kPvSdotspHMem: return plain(&H::pv_sdotsp_h_mem);
     case Op::kFlw: return plain(&H::flw);
@@ -1504,7 +884,7 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
     case Op::kFaddS: return lat(&H::fadds, cfg.fpu_latency);
     case Op::kFsubS: return lat(&H::fsubs, cfg.fpu_latency);
     case Op::kFmulS: return lat(&H::fmuls, cfg.fpu_latency);
-    // fdiv/fsqrt cost is hardcoded 12 in exec(), not a config latency.
+    // fdiv/fsqrt cost a fixed 12 cycles, not a config latency.
     case Op::kFdivS: return lat(&H::fdivs, 12);
     case Op::kFsqrtS: return lat(&H::fsqrts, 12);
     case Op::kFmaddS: return lat(&H::fmadds, cfg.fpu_latency);
@@ -1528,23 +908,28 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
     case Op::kVfdotpexSH: return lat(&H::vfdotpexsh, cfg.fpu_latency);
     case Op::kVfcvtHS: return lat(&H::vfcvths, cfg.fpu_latency);
     default:
-      // ecall/ebreak, kIllegal, kWfi and the host-only RV64/D ops:
-      // deopt to the interpreter (which services or faults them with
-      // the exact pc).
+      // ecall/ebreak, kIllegal, kWfi and the host-only RV64/D ops: trap
+      // ops, retired by PmcaCore::trap() at their exact pc.
       return HandlerInfo{nullptr, 1};
   }
 }
 
-// Threaded slice loop. Per-retire state the interpreter maintains —
-// issue_cycle_, next_pc_, hardware-loop application, pc_ commit — is
-// kept per instruction here too (all of it is serialized, digest-
-// relevant state), so the win over the interpreter is the removed
-// opcode switch / field decode, not a relaxed retire sequence. The
-// run-ahead horizon check is the interpreter's, driven by lowered
-// flags: kFlagShared mirrors the block's (fact-narrowed) shared_mask
-// bit, and the new-fetch-line condition comes from the line flags plus
-// the same dynamic private_hit probe.
-void PmcaCore::run_slice_threaded(u64 limit, u64 max_instrs) {
+// Slice loop. Per-retire state — issue_cycle_, next_pc_, hardware-loop
+// application, pc_ commit — is kept per instruction (all of it is
+// serialized, digest-relevant state). The run-ahead horizon check is
+// driven by lowered flags: kFlagShared mirrors the block's
+// (fact-narrowed) shared_mask bit, and the new-fetch-line condition
+// comes from the line flags plus a dynamic private_hit probe.
+//
+// The observed instantiation adds, per retired instruction, the
+// profiler bracket, the set_trace disassembly log and the trace commit
+// batch; under tracing (lockstep) every instruction counts as shared.
+// It never resumes from the cursor: it probes the block cache at every
+// slice entry, so the profiler keys a slice that starts at a park point
+// by the suffix block starting there.
+template <bool kObserved>
+void PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
+                     profile::CoreProfile* prof) {
   using PmcaFn = void (*)(PmcaCore&, const isa::threaded::ThreadedInstr&);
   u64 executed = 0;
   // Resume in front of the instruction the last slice stopped at: no
@@ -1558,7 +943,8 @@ void PmcaCore::run_slice_threaded(u64 limit, u64 max_instrs) {
   cursor_.block = nullptr;
   isa::DecodedBlock* block = nullptr;
   size_t i = 0;
-  if (resume.block != nullptr && resume.generation == blocks_.generation() &&
+  if (!kObserved && resume.block != nullptr &&
+      resume.generation == blocks_.generation() &&
       resume.block->threaded.code[resume.index].pc == pc_) {
     block = resume.block;
     i = resume.index;
@@ -1587,41 +973,51 @@ void PmcaCore::run_slice_threaded(u64 limit, u64 max_instrs) {
       const isa::threaded::ThreadedInstr& t = code[i];
       // Loop invariant: pc_ == t.pc (established by the block probe or
       // the cursor check for the first instruction and by the
-      // sequential-pc break below after it), so a yield or deopt here
-      // resumes at exactly this instruction.
+      // sequential-pc break below after it), so a yield or a trap here
+      // happens at exactly this instruction.
       bool newline = false;
       if ((t.flags & isa::threaded::kFlagLineCheck) != 0) {
         newline = align_down(t.pc, 32) != fetch_line_;
       } else if ((t.flags & isa::threaded::kFlagLineEntry) != 0) {
         newline = true;  // statically a new line within the block
       }
-      const bool shared =
-          (t.flags & isa::threaded::kFlagShared) != 0 ||
-          (newline && !icache_->private_hit(config_.core_id, t.pc));
+      bool shared = (t.flags & isa::threaded::kFlagShared) != 0 ||
+                    (newline && !icache_->private_hit(config_.core_id, t.pc));
+      if constexpr (kObserved) shared = shared || lockstep;
       if (shared && at_limit(limit)) {
         park(i);
         return;  // yield before executing; the scheduler re-picks the min
       }
-      if ((t.flags & isa::threaded::kFlagDeopt) != 0) {
-        // Deopt (ecall/ebreak/illegal — always block-terminal): run the
-        // remainder on the interpreter; it retires the one instruction
-        // and ends the slice (envcall) or throws.
-        run_slice_interp(limit, max_instrs - executed, /*lockstep=*/false,
-                         /*prof=*/nullptr);
-        return;
+      if constexpr (kObserved) {
+        if (prof != nullptr) prof->begin_instr(cycle_);
       }
       if (newline) {
         fetch_line_ = align_down(t.pc, 32);
         cycle_ = icache_->fetch(config_.core_id, cycle_, t.pc);
       }
+      if constexpr (kObserved) log_instr(block->instrs[i]);
       next_pc_ = t.pc + 4;
       issue_cycle_ = cycle_;
       cycle_ += t.cyc;
+      if ((t.flags & isa::threaded::kFlagTrap) != 0) {
+        // Trap (always block-terminal). It ends the slice: an envcall
+        // may have woken other cores, so the ready set changed under
+        // the scheduler; exit and barrier stop this core.
+        trap(block->instrs[i]);
+        ++instret_;
+        if constexpr (kObserved) observe_retire(prof, *block, i);
+        if (state_ == State::kRunning || state_ == State::kBlocked) {
+          apply_hwloops();
+          pc_ = next_pc_;
+        }
+        return;
+      }
       reinterpret_cast<PmcaFn>(t.fn)(*this, t);
       ++instret_;
       ++executed;
-      // Handlers never change the run state (ecall is a deopt point),
-      // so hardware loops and the pc commit are unconditional.
+      if constexpr (kObserved) observe_retire(prof, *block, i);
+      // Handlers never change the run state (ecall is a trap op), so
+      // hardware loops and the pc commit are unconditional.
       apply_hwloops();
       pc_ = next_pc_;
       const bool fell_through = pc_ == t.pc + 4;
@@ -1633,6 +1029,20 @@ void PmcaCore::run_slice_threaded(u64 limit, u64 max_instrs) {
     }
     block = nullptr;
   }
+}
+
+inline void PmcaCore::log_instr(const Instr& in) const {
+  if (trace_) {
+    log(LogLevel::kTrace, stats_.name(), "cyc=", cycle_, " pc=0x", std::hex,
+        pc_, std::dec, "  ", isa::disasm(in));
+  }
+}
+
+inline void PmcaCore::observe_retire(profile::CoreProfile* prof,
+                                     const isa::DecodedBlock& block,
+                                     size_t index) {
+  if (prof != nullptr) prof->end_instr(block, index, cycle_);
+  if (trace::enabled()) trace_commit();
 }
 
 void PmcaCore::serialize(snapshot::Archive& ar) {

@@ -57,8 +57,7 @@ struct PmcaCoreConfig {
 
 class PmcaCore {
  public:
-  /// Threaded-tier handler table (pmca_core.cpp); needs the same
-  /// private access as exec().
+  /// Instruction handler table (pmca_core.cpp); needs private access.
   friend struct ThreadedPmca;
 
   enum class State { kRunning, kBlocked, kFinished };
@@ -124,13 +123,6 @@ class PmcaCore {
   /// Emit one log line per retired instruction (LogLevel::kTrace).
   void set_trace(bool enabled) { trace_ = enabled; }
 
-  /// Execution tier (DESIGN.md §15). Defaults to the process-wide
-  /// isa::default_tier(); the threaded tier self-deoptimizes to the
-  /// interpreter while the profiler or tracing is active, and observes
-  /// the run-ahead horizon exactly like the interpreter loop.
-  void set_tier(isa::ExecTier tier) { tier_ = tier; }
-  isa::ExecTier tier() const { return tier_; }
-
   /// Close out this core's trace for one kernel run: emits the per-core
   /// `run` interval [dispatched, now] and flushes the commit batch so
   /// windowed commit totals are exact. Called by the cluster scheduler.
@@ -157,13 +149,11 @@ class PmcaCore {
   void reset();
 
  private:
-  void exec(const isa::Instr& instr);
-  /// Interpreter tier of run_slice() (also the deopt target of the
-  /// threaded tier): the per-instruction decode-switch loop.
-  void run_slice_interp(u64 limit, u64 max_instrs, bool lockstep,
-                        profile::CoreProfile* prof);
+  /// Trap ops (ecall/ebreak and ops without a handler), executed at
+  /// their exact pc.
+  void trap(const isa::Instr& instr);
 
-  /// Where the threaded loop stopped in front of `code[index]` of a
+  /// Where the slice loop stopped in front of `code[index]` of a
   /// block (DESIGN.md §10). Not simulated state: never serialized,
   /// never digested.
   struct ResumeCursor {
@@ -172,11 +162,19 @@ class PmcaCore {
     u64 generation = 0;  // BlockCache generation the block belongs to
   };
 
-  /// Threaded tier of run_slice(): pre-resolved handler pointers, no
-  /// per-instruction opcode switch or field decode. Starts at cursor_
-  /// when it is still valid. Delegates to run_slice_interp() at deopt
-  /// points (ecall/ebreak/illegal).
-  void run_slice_threaded(u64 limit, u64 max_instrs);
+  /// run_slice() body: pre-resolved handler pointers, no per-instruction
+  /// opcode switch or field decode. The unobserved instantiation starts
+  /// at cursor_ when it is still valid; the observed one brackets each
+  /// retire for the profiler and the tracers (`lockstep`: tracing is on,
+  /// every instruction counts as shared).
+  template <bool kObserved>
+  void slice(u64 limit, u64 max_instrs, bool lockstep,
+             profile::CoreProfile* prof);
+  /// set_trace's per-instruction disassembly log.
+  void log_instr(const isa::Instr& instr) const;
+  /// Observed retire: close the profiler bracket, batch the commit.
+  void observe_retire(profile::CoreProfile* prof,
+                      const isa::DecodedBlock& block, size_t index);
   /// True when this core's (cycle, core_id) key has reached `limit`.
   bool at_limit(u64 limit) const {
     return CoreScheduler::key(cycle_, config_.core_id) >= limit;
@@ -231,20 +229,19 @@ class PmcaCore {
   Addr fetch_line_ = ~0ull;
 
   bool trace_ = false;
-  isa::ExecTier tier_ = isa::default_tier();
   isa::BlockCache blocks_;
   EnvHandler env_;
-  // Set only where the threaded loop stops mid-block; dropped by the
-  // next slice of either tier and by reset_for_run(), reset() and
-  // snapshot load — the only other writers of pc_ and fetch_line_.
+  // Set only where the slice loop stops mid-block; dropped by the next
+  // slice and by reset_for_run(), reset() and snapshot load — the only
+  // other writers of pc_ and fetch_line_.
   ResumeCursor cursor_;
   // Cold (touched once per run_slice(), not per instruction); kept last
   // so it does not shift the execution-state members across cache lines.
   profile::Handle prof_handle_;  // cycle-attribution registration
 };
 
-/// Threaded-tier handler lookup for one op (null fn == deopt point).
-/// Exposed so threaded_test can assert exhaustive table coverage.
+/// Handler lookup for one op (null fn == trap op). Exposed so
+/// threaded_test can assert exhaustive table coverage.
 isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
                                             const PmcaCoreConfig& config);
 

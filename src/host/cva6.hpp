@@ -77,8 +77,7 @@ struct Cva6Config {
 
 class Cva6Core {
  public:
-  /// Threaded-tier handler table (cva6.cpp); needs the same private
-  /// access as exec().
+  /// Instruction handler table (cva6.cpp); needs private access.
   friend struct ThreadedHost;
 
   /// Result of a run() segment.
@@ -128,13 +127,6 @@ class Cva6Core {
   /// component "cva6"): cycle, pc, disassembly. For debugging programs.
   void set_trace(bool enabled) { trace_ = enabled; }
 
-  /// Execution tier (DESIGN.md §15). Defaults to the process-wide
-  /// isa::default_tier(); the threaded tier self-deoptimizes to the
-  /// interpreter while the cycle profiler or tracing is active, so
-  /// selecting it never changes attribution or event streams.
-  void set_tier(isa::ExecTier tier) { tier_ = tier; }
-  isa::ExecTier tier() const { return tier_; }
-
   /// Execute until the exit syscall or `max_instructions`.
   RunResult run(u64 max_instructions = UINT64_MAX);
 
@@ -170,23 +162,22 @@ class Cva6Core {
   mem::SocBus& bus() { return *bus_; }
 
  private:
-  void exec(const isa::Instr& instr);
-  /// Block-dispatch loop of run(), split on whether the cycle profiler
-  /// is collecting so the disabled path carries no bracket code.
-  template <bool kProfiled>
-  void dispatch_blocks(u64 max_instructions, u64 start_instret,
-                       profile::CoreProfile* prof);
-  /// Threaded-tier dispatch loop: pre-resolved handler pointers, no
-  /// per-instruction decode/switch/cache-probe. Falls back to
-  /// interp_block() at deopt points (ecall/ebreak/wfi/illegal).
-  void dispatch_threaded(u64 max_instructions, u64 start_instret);
-  /// dispatch_threaded body, specialized on whether the instruction
-  /// budget can bind (run()'s default UINT64_MAX cannot).
-  template <bool kBounded>
-  void dispatch_threaded_loop(u64 max_instructions, u64 start_instret);
-  /// Execute exactly one decoded block at pc_ with the interpreter
-  /// loop (same per-instruction sequence as dispatch_blocks<false>).
-  void interp_block(u64 max_instructions, u64 start_instret);
+  /// Trap ops (ecall/ebreak/wfi and ops without a handler), executed at
+  /// their exact pc.
+  void trap(const isa::Instr& instr);
+  /// Block-dispatch loop of run(): pre-resolved handler pointers, no
+  /// per-instruction decode/switch/cache-probe. The observed
+  /// instantiation brackets each retire for the profiler and the
+  /// tracers; kBounded is whether the instruction budget can bind
+  /// (run()'s default UINT64_MAX cannot).
+  template <bool kObserved, bool kBounded>
+  void dispatch(u64 max_instructions, u64 start_instret,
+                profile::CoreProfile* prof);
+  /// set_trace's per-instruction disassembly log.
+  void log_instr(Addr pc, const isa::Instr& instr) const;
+  /// Observed retire: close the profiler bracket, batch the commit.
+  void observe_retire(profile::CoreProfile* prof,
+                      const isa::DecodedBlock& block, size_t index);
   /// I-cache (+ITLB) timing for a fetch at `pc`: paid once per line.
   void fetch_timing(Addr pc);
 
@@ -230,7 +221,6 @@ class Cva6Core {
   Addr fetch_line_ = ~0ull;  // current I-cache line (64-byte aligned)
 
   bool trace_ = false;
-  isa::ExecTier tier_ = isa::default_tier();
   isa::BlockCache blocks_;
   SyscallHandler syscall_;
   WfiHandler wfi_;
@@ -239,8 +229,8 @@ class Cva6Core {
   profile::Handle prof_handle_;  // cycle-attribution registration
 };
 
-/// Threaded-tier handler lookup for one op (null fn == deopt point).
-/// Exposed so threaded_test can assert exhaustive table coverage.
+/// Handler lookup for one op (null fn == trap op). Exposed so
+/// threaded_test can assert exhaustive table coverage.
 isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
                                             const Cva6Config& config);
 

@@ -2,34 +2,8 @@
 
 #include "common/types.hpp"
 #include "isa/block_cache.hpp"
-#include "report/report.hpp"
 
-namespace hulkv::isa {
-
-namespace {
-ExecTier g_default_tier = ExecTier::kThreaded;
-}  // namespace
-
-ExecTier parse_tier(const std::string& name) {
-  if (name == "interp") return ExecTier::kInterp;
-  if (name == "threaded") return ExecTier::kThreaded;
-  throw SimError("unknown execution tier '" + name +
-                 "' (expected interp|threaded)");
-}
-
-const char* tier_name(ExecTier tier) {
-  return tier == ExecTier::kInterp ? "interp" : "threaded";
-}
-
-void set_default_tier(ExecTier tier) { g_default_tier = tier; }
-
-ExecTier default_tier() { return g_default_tier; }
-
-void configure_tier(const report::BenchOptions& options) {
-  if (!options.tier.empty()) set_default_tier(parse_tier(options.tier));
-}
-
-namespace threaded {
+namespace hulkv::isa::threaded {
 
 void lower(const DecodedBlock& block, u32 line_bytes, bool want_shared,
            HandlerResolver resolve, const void* ctx, ThreadedBlock* out) {
@@ -52,11 +26,11 @@ void lower(const DecodedBlock& block, u32 line_bytes, bool want_shared,
       t.flags |= kFlagLineCheck;
     } else if (t.pc % line_bytes == 0) {
       // Provably entering a new fetch line: within a straight-line run
-      // the line register only ever advances, so the compare the
-      // interpreter's fetch_timing does is statically true here.
+      // the line register only ever advances, so the compare a core's
+      // fetch_timing does is statically true here.
       t.flags |= kFlagLineEntry;
     }
-    if (info.fn == nullptr) t.flags |= kFlagDeopt;
+    if (info.fn == nullptr) t.flags |= kFlagTrap;
     if (want_shared && ((block.shared_mask >> i) & 1) != 0) {
       t.flags |= kFlagShared;
     }
@@ -67,7 +41,7 @@ void lower(const DecodedBlock& block, u32 line_bytes, bool want_shared,
     const bool is_control =
         tail == Op::kJal || tail == Op::kJalr || is_branch(tail);
     out->control_tail =
-        is_control && (out->code.back().flags & kFlagDeopt) == 0;
+        is_control && (out->code.back().flags & kFlagTrap) == 0;
   }
   // Stamped last: a throw above leaves the lowering stale (generation
   // mismatch) so the next dispatch redoes it, mirroring
@@ -75,5 +49,4 @@ void lower(const DecodedBlock& block, u32 line_bytes, bool want_shared,
   out->generation = block.generation;
 }
 
-}  // namespace threaded
-}  // namespace hulkv::isa
+}  // namespace hulkv::isa::threaded

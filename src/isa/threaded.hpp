@@ -1,71 +1,44 @@
-// Threaded-code execution tier (DESIGN.md §15).
+// Threaded code: the one execution path of both ISSs (DESIGN.md §15).
 //
-// The interpreter tier dispatches a decoded block with a switch over
-// `Op` per retired instruction; this tier lowers each `DecodedBlock`
-// once into *threaded code*: a flat array of pre-resolved handler
-// pointers with the operands already unpacked into a packed
-// immediate/register-index form and the instruction's *static* cycle
-// cost (issue + fixed functional-unit latency) precomputed. The hot
-// loop then does no opcode switch, no field decode and no
-// per-instruction cache probe — just an indirect call per instruction.
+// Each `DecodedBlock` is lowered once into *threaded code*: a flat array
+// of pre-resolved handler pointers with the operands already unpacked
+// into a packed immediate/register-index form and the instruction's
+// *static* cycle cost (issue + fixed functional-unit latency)
+// precomputed. The dispatch loops then do no opcode switch, no field
+// decode and no per-instruction cache probe — just an indirect call per
+// instruction.
 //
 // The lowering is core-agnostic: each core supplies a `HandlerResolver`
-// mapping an `Op` to its handler (or null, which marks the instruction
-// as a deopt point — the dispatch loop falls back to the interpreter at
-// its exact pc). Timing neutrality is a hard contract: a handler
-// performs every cycle-accounting side effect of the corresponding
-// interpreter case in the same order, so interp and threaded runs are
-// bit-identical (enforced by the differential CI gate and
-// determinism_test).
+// mapping an `Op` to its handler, or to null for a trap op (ecall,
+// ebreak, wfi, and every op the core cannot execute), which the dispatch
+// loop retires through the core's trap() at its exact pc. The handlers
+// are the only semantics of each instruction; tests/golden pins the
+// cycles and bytes they produce.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "isa/instr.hpp"
-
-namespace hulkv::report {
-struct BenchOptions;
-}  // namespace hulkv::report
 
 namespace hulkv::isa {
 
 struct DecodedBlock;
 
-/// Which dispatch loop a core runs. The threaded tier self-deoptimizes
-/// to the interpreter when the cycle profiler is attached or tracing is
-/// enabled (attribution/event order must stay per-instruction exact).
-enum class ExecTier : u8 { kInterp, kThreaded };
-
-/// "interp" / "threaded" -> tier; throws SimError on anything else.
-ExecTier parse_tier(const std::string& name);
-const char* tier_name(ExecTier tier);
-
-/// Process-wide default applied to cores at construction (benches set
-/// it from --tier before building their SoCs); per-core override via
-/// Cva6Core::set_tier / PmcaCore::set_tier.
-void set_default_tier(ExecTier tier);
-ExecTier default_tier();
-
-/// Apply a bench command line's --tier (no-op when the flag is absent).
-void configure_tier(const report::BenchOptions& options);
-
 namespace threaded {
 
-// ThreadedInstr::flags bits. Line flags mark where the interpreter's
-// per-line fetch timing can fire: the block's first instruction may
-// land anywhere in a fetch line (dynamic compare against the core's
-// current line), while a later instruction enters a new line exactly
-// when its pc is line-aligned — and the line register provably differs
-// there (lines only grow within a straight-line run), so the access is
-// unconditional. Everything else provably stays in the current line and
-// skips the check entirely.
+// ThreadedInstr::flags bits. Line flags mark where per-line fetch timing
+// can fire: the block's first instruction may land anywhere in a fetch
+// line (dynamic compare against the core's current line), while a later
+// instruction enters a new line exactly when its pc is line-aligned —
+// and the line register provably differs there (lines only grow within
+// a straight-line run), so the access is unconditional. Everything else
+// provably stays in the current line and skips the check entirely.
 inline constexpr u16 kFlagLineCheck = 1u << 0;  // block entry: compare
 inline constexpr u16 kFlagLineEntry = 1u << 1;  // static line crossing
-/// Execute via the interpreter (trap/envcall ops and ops the core has
-/// no handler for). Deopt ops all end their block (BlockCache contract)
-/// so a deopt is always block-terminal.
-inline constexpr u16 kFlagDeopt = 1u << 2;
+/// Trap op (ecall/ebreak/wfi and ops the core has no handler for),
+/// retired through the core's trap(). Trap ops all end their block
+/// (BlockCache contract), so a trap is always block-terminal.
+inline constexpr u16 kFlagTrap = 1u << 2;
 /// May touch cross-core shared state (DecodedBlock::shared_mask bit,
 /// post fact-provider widening) — the cluster's run-ahead horizon check.
 inline constexpr u16 kFlagShared = 1u << 3;
@@ -76,10 +49,10 @@ using AnyFn = void (*)();
 
 /// One lowered instruction: pre-resolved handler, unpacked operands,
 /// the instruction's own address (control handlers compute targets as
-/// `pc + imm`; deopt re-enters the interpreter at `pc`), and the static
-/// cycles the instruction always pays (1-cycle issue + fixed latency).
-/// Dynamic cycle costs (cache misses, bank conflicts, taken-branch
-/// penalties) stay inside the handler, exactly like the interpreter.
+/// `pc + imm`; a trap retires at `pc`), and the static cycles the
+/// instruction always pays (1-cycle issue + fixed latency). Dynamic
+/// cycle costs (cache misses, bank conflicts, taken-branch penalties)
+/// stay inside the handler.
 struct ThreadedInstr {
   AnyFn fn = nullptr;
   u8 rd = 0;
@@ -93,15 +66,15 @@ struct ThreadedInstr {
   Addr pc = 0;
 };
 // Two instructions per cache line: the dispatch loops stream through
-// the array, so the entry size is part of the tier's perf contract
+// the array, so the entry size is part of their perf contract
 // (scripts/lint.sh greps for this assert staying put).
 static_assert(sizeof(ThreadedInstr) == 32, "ThreadedInstr grew past 32B");
 
-/// Threaded form of one DecodedBlock, lowered lazily on first threaded
-/// dispatch and tagged with the DecodedBlock generation it was lowered
-/// from: a block-cache invalidation bumps the generation, the stale
-/// lowering is detected by mismatch and redone in place (the
-/// deopt-on-invalidation round trip pinned by threaded_test).
+/// Threaded form of one DecodedBlock, lowered lazily on first dispatch
+/// and tagged with the DecodedBlock generation it was lowered from: a
+/// block-cache invalidation bumps the generation, the stale lowering is
+/// detected by mismatch and redone in place (the invalidation round
+/// trip pinned by threaded_test).
 struct ThreadedBlock {
   u64 generation = 0;  // 0 = never lowered (generations start at 1)
   /// Last instruction is a handled branch/jump: its handler sets the
@@ -111,8 +84,7 @@ struct ThreadedBlock {
 };
 
 /// What a core's resolver returns for one Op: the handler and the
-/// static cycles (1 + fixed latency). A null fn marks the op as a deopt
-/// point.
+/// static cycles (1 + fixed latency). A null fn marks a trap op.
 struct HandlerInfo {
   AnyFn fn = nullptr;
   u32 static_cycles = 1;

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/hex.hpp"
+
 namespace hulkv::mem {
 
 namespace {
@@ -78,8 +80,7 @@ Cycles SocBus::transact(Cycles now, Addr addr, void* data, u32 bytes,
   const bool cluster_master =
       master == Master::kClusterCore || master == Master::kClusterDma;
   if (timed && cluster_master && iopmp_ && !iopmp_(addr, bytes, is_write)) {
-    throw SimError("IOPMP denied cluster access to 0x" +
-                   std::to_string(addr));
+    throw SimError("IOPMP denied cluster access to 0x" + hex(addr));
   }
 
   if (timed) {
@@ -128,11 +129,7 @@ Cycles SocBus::transact(Cycles now, Addr addr, void* data, u32 bytes,
     return timed ? dram_timing_->access(issue, addr, bytes, is_write) : now;
   }
 
-  throw SimError("bus access to unmapped address 0x" + [addr] {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(addr));
-    return std::string(buf);
-  }());
+  throw SimError("bus access to unmapped address 0x" + hex(addr));
 }
 
 }  // namespace hulkv::mem

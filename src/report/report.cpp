@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "common/cli.hpp"
-#include "isa/threaded.hpp"
 
 namespace hulkv::report {
 
@@ -271,13 +270,6 @@ BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli) {
                                          : cli::Parser::OnUnknown::kError)) {
       return parser.error();
     }
-    if (!options.tier.empty()) {
-      try {
-        (void)isa::parse_tier(options.tier);
-      } catch (const SimError& e) {
-        return program + ": --tier: " + e.what();
-      }
-    }
     const bool tracing = !options.trace_path.empty();
     if (tracing && !cli.writes_trace) {
       return program + ": --trace is not implemented by this bench";
@@ -309,8 +301,6 @@ cli::Parser bench_flag_parser(const std::string& program,
                   "write a Perfetto/Chrome event trace to this path")
       .add_u32("--jobs", &options->jobs,
                "sweep worker count (0 = hardware concurrency)")
-      .add_string("--tier", &options->tier,
-                  "execution tier: interp | threaded")
       .add_optional_value("--profile", &options->profile,
                           &options->profile_path,
                           "cycle-attribution profiler (=PATH writes "

@@ -119,9 +119,8 @@ class MetricsReport {
 };
 
 /// Shared bench command line: --json <path> / --trace <path> /
-/// --jobs <n> / --profile[=<path>] / --telemetry[=<dir>] /
-/// --tier <interp|threaded> (also the --flag=value spellings for the
-/// value-taking flags).
+/// --jobs <n> / --profile[=<path>] / --telemetry[=<dir>] (also the
+/// --flag=value spellings for the value-taking flags).
 struct BenchOptions {
   std::string json_path;
   std::string trace_path;
@@ -138,9 +137,6 @@ struct BenchOptions {
   /// overrides the directory. Never touches stdout.
   bool telemetry = false;
   std::string telemetry_dir;
-  /// Execution tier for both ISSs (isa::configure_tier): "interp" or
-  /// "threaded". Empty = keep the built-in default (threaded).
-  std::string tier;
 };
 /// Parse the shared flags, passing unknown arguments through (they
 /// belong to a wrapped tool). Throws SimError on a malformed value or a
@@ -157,7 +153,7 @@ struct BenchCli {
 };
 
 /// A bench main()'s command line. A usage error — malformed value,
-/// value flag without its value, unknown flag or tier, --trace on a
+/// value flag without its value, unknown flag, --trace on a
 /// bench that does not write one, or --profile/--trace with an
 /// explicit --jobs above 1 (the profiler and the trace sink are
 /// process-global) — prints the message and the usage to stderr and
@@ -167,8 +163,8 @@ BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli = {});
 
 /// The shared bench flag set as a cli::Parser over `options`, so other
 /// binaries (the serve daemon, the load generator) can stack their own
-/// flags on the same table instead of re-spelling --jobs/--tier/
-/// --json/--telemetry/--profile. parse_bench_args() is exactly this
+/// flags on the same table instead of re-spelling --jobs/--json/
+/// --telemetry/--profile. parse_bench_args() is exactly this
 /// parser run with unknown flags ignored.
 cli::Parser bench_flag_parser(const std::string& program,
                               BenchOptions* options);

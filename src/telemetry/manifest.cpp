@@ -9,7 +9,6 @@
 #include <sstream>
 #include <thread>
 
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 
 namespace hulkv::telemetry {
@@ -68,7 +67,6 @@ std::string Manifest::to_json_line() const {
   os << "{\"schema_version\":" << schema_version
      << ",\"kind\":" << json_quote(kind)
      << ",\"bench\":" << json_quote(bench)
-     << ",\"tier\":" << json_quote(tier)
      << ",\"timestamp_ns\":" << timestamp_ns
      << ",\"host\":{\"hostname\":" << json_quote(hostname)
      << ",\"pid\":" << pid << ",\"hw_concurrency\":" << hw_concurrency
@@ -130,7 +128,6 @@ Manifest build_manifest(const report::MetricsReport& rep,
                         const Registry& reg) {
   Manifest m;
   m.bench = rep.name();
-  m.tier = isa::tier_name(isa::default_tier());
   m.timestamp_ns = reg.wall_anchor_ns();
   m.hostname = host_name();
   m.pid = static_cast<u32>(getpid());

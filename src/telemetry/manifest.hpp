@@ -33,7 +33,9 @@ namespace hulkv::telemetry {
 ///     aggregates from the DESIGN.md §17 observability plane:
 ///     admission-outcome counts + per-stage latency summaries).
 ///     kind="serve" manifests must carry it; "bench" manifests omit it.
-inline constexpr u32 kManifestSchemaVersion = 4;
+/// v5: dropped "tier": both ISSs have one execution path (DESIGN.md
+///     §15).
+inline constexpr u32 kManifestSchemaVersion = 5;
 
 /// Manifest kinds ("kind" field values).
 inline constexpr const char* kManifestKindBench = "bench";
@@ -43,7 +45,6 @@ struct Manifest {
   u32 schema_version = kManifestSchemaVersion;
   std::string kind = kManifestKindBench;
   std::string bench;       // MetricsReport name (daemon: "hulkv_serve")
-  std::string tier;        // execution tier ("interp" | "threaded")
   u64 timestamp_ns = 0;    // wall-clock ns since epoch (registry anchor)
   std::string hostname;
   u32 pid = 0;

@@ -136,15 +136,14 @@ TEST(CliParser, UsageListsEveryFlag) {
 TEST(CliBench, BenchFlagParserKeepsHistoricalSemantics) {
   report::BenchOptions options;
   cli::Parser parser = report::bench_flag_parser("bench", &options);
-  Argv args({"--json", "out.json", "--jobs=3", "--tier", "interp",
-             "--telemetry=runs2", "--profile",
+  Argv args({"--json", "out.json", "--jobs=3", "--telemetry=runs2",
+             "--profile",
              "--benchmark_filter=all"});  // wrapped-tool flag: ignored
   ASSERT_TRUE(parser.parse(args.argc(), args.argv(),
                            cli::Parser::OnUnknown::kIgnore))
       << parser.error();
   EXPECT_EQ(options.json_path, "out.json");
   EXPECT_EQ(options.jobs, 3u);
-  EXPECT_EQ(options.tier, "interp");
   EXPECT_TRUE(options.telemetry);
   EXPECT_EQ(options.telemetry_dir, "runs2");
   EXPECT_TRUE(options.profile);
@@ -168,15 +167,18 @@ TEST(CliBench, ParseBenchArgsMatchesParser) {
 #ifndef HULKV_BENCH_DIR
 #define HULKV_BENCH_DIR "."
 #endif
+#ifndef HULKV_EXAMPLES_DIR
+#define HULKV_EXAMPLES_DIR "."
+#endif
 
 struct Outcome {
   int rc = -1;
   std::string err;  // stderr; stdout is discarded
 };
 
-Outcome run_bench(const std::string& bench, const std::string& args) {
-  const std::string cmd = std::string(HULKV_BENCH_DIR) + "/" + bench + " " +
-                          args + " 2>&1 >/dev/null";
+/// Run `binary` (a path) with `args`; stdout is discarded.
+Outcome run_binary(const std::string& binary, const std::string& args) {
+  const std::string cmd = binary + " " + args + " 2>&1 >/dev/null";
   Outcome out;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return out;
@@ -186,6 +188,10 @@ Outcome run_bench(const std::string& bench, const std::string& args) {
   const int status = pclose(pipe);
   out.rc = WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
   return out;
+}
+
+Outcome run_bench(const std::string& bench, const std::string& args) {
+  return run_binary(std::string(HULKV_BENCH_DIR) + "/" + bench, args);
 }
 
 /// A scratch directory removed (with its files) at scope exit.
@@ -213,7 +219,6 @@ TEST_P(FigureBenchCli, UsageErrorsExitTwoWithMessage) {
       {"--bogus", "--bogus"},
       {"--json", "--json"},
       {"--json --jobs 2", "--json"},
-      {"--tier=warp", "--tier"},
       {"--profile --jobs 2", "--jobs 1"},
   };
   for (const auto& [args, names] : cases) {
@@ -259,5 +264,21 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<const char*>& bench) {
       return std::string(bench.param);
     });
+
+// offload_matmul parses the shared bench flags too: CLI errors exit 2.
+TEST(ExampleCli, OffloadMatmulUsageErrorsExitTwoWithMessage) {
+  const std::string binary =
+      std::string(HULKV_EXAMPLES_DIR) + "/offload_matmul";
+  // (arguments, flag the message must name)
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--jobs abc", "--jobs"},
+      {"--bogus", "--bogus"},
+  };
+  for (const auto& [args, names] : cases) {
+    const Outcome o = run_binary(binary, args);
+    EXPECT_EQ(o.rc, 2) << args << "\n" << o.err;
+    EXPECT_NE(o.err.find(names), std::string::npos) << args << "\n" << o.err;
+  }
+}
 
 }  // namespace

@@ -18,7 +18,6 @@
 
 #include "batch/batch.hpp"
 #include "common/rng.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/json.hpp"
@@ -413,9 +412,8 @@ TEST(TelemetryManifest, BuildSerializeParseRoundTrip) {
   // for daemon manifests).
   EXPECT_EQ(v.find("kind")->as_string(), kManifestKindBench);
   EXPECT_EQ(v.find("bench")->as_string(), "roundtrip_bench");
-  // v2: the manifest records the process-wide execution tier.
-  EXPECT_EQ(v.find("tier")->as_string(),
-            isa::tier_name(isa::default_tier()));
+  // v5: one execution path, so no "tier" field.
+  EXPECT_EQ(v.find("tier"), nullptr);
   EXPECT_FALSE(v.find_path("host.hostname")->as_string().empty());
   ASSERT_EQ(v.find("config_fingerprints")->as_array().size(), 1u);
   EXPECT_EQ(v.find("config_fingerprints")->as_array()[0].raw_number(),

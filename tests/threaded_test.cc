@@ -1,17 +1,19 @@
-// Threaded execution tier (DESIGN.md §15):
+// Threaded execution (DESIGN.md §15):
 //  * handler-table coverage — every encodable op resolves to a handler
-//    on at least one ISS or is a deliberate deopt point,
-//  * deopt-on-invalidation round-trip — translate, guest SMC, ranged
-//    invalidate, re-lower — never executes a stale lowering,
-//  * mid-block deopt at an ecall hands over to the interpreter at the
-//    exact pc/instret/cycle and resumes after it,
+//    on at least one ISS or is a deliberate trap op,
+//  * invalidation round-trip — translate, guest SMC, ranged invalidate,
+//    re-lower — never executes a stale lowering,
+//  * a mid-block ecall traps at the exact pc/instret/cycle and
+//    execution resumes after it,
+//  * bounded runs and a cluster kernel retire exactly the values the
+//    interpreter that preceded the handlers produced (pinned below; the
+//    byte-level goldens live in golden_test),
 //  * a cluster core parked mid-block resumes from its cursor only while
 //    the block and its fetch line are still current,
-//  * tier selection never changes architectural results or timing
-//    (the broad byte-equal gates live in determinism_test; these are
-//    the targeted unit-level checks).
+//  * trap errors name the op and the pc in hex.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -20,8 +22,9 @@
 #include "core/soc.hpp"
 #include "host/cva6.hpp"
 #include "isa/assembler.hpp"
+#include "isa/decoder.hpp"
+#include "isa/encoding.hpp"
 #include "isa/encoding_table.hpp"
-#include "isa/threaded.hpp"
 #include "kernels/kernel.hpp"
 
 namespace hulkv {
@@ -38,9 +41,8 @@ core::SocConfig fast_config() {
 }
 
 /// Ops that neither ISS lowers on purpose: they transfer control to an
-/// environment (syscall/debug/sleep) whose handlers live behind the
-/// interpreter's exec() path on both cores.
-bool deliberate_deopt_everywhere(Op op) {
+/// environment (syscall/debug/sleep) through each core's trap().
+bool deliberate_trap_everywhere(Op op) {
   return op == Op::kEcall || op == Op::kEbreak || op == Op::kWfi;
 }
 
@@ -52,10 +54,9 @@ TEST(ThreadedTable, EveryEncodableOpResolvesSomewhere) {
         host::threaded_resolve(enc.op, host_cfg).fn != nullptr;
     const bool pmca_has =
         cluster::threaded_resolve(enc.op, pmca_cfg).fn != nullptr;
-    EXPECT_TRUE(host_has || pmca_has || deliberate_deopt_everywhere(enc.op))
+    EXPECT_TRUE(host_has || pmca_has || deliberate_trap_everywhere(enc.op))
         << "op " << static_cast<int>(enc.op)
-        << " has no threaded handler on either ISS and is not a "
-           "deliberate deopt point";
+        << " has no handler on either ISS and is not a deliberate trap op";
   }
 }
 
@@ -85,18 +86,17 @@ TEST(ThreadedTable, StaticCyclesMatchConfiguredLatencies) {
   EXPECT_EQ(cluster::threaded_resolve(Op::kDivu, pmca_cfg).static_cycles,
             10u);
   EXPECT_EQ(cluster::threaded_resolve(Op::kLw, pmca_cfg).static_cycles, 1u);
-  // The fused load-MAC is LSU-timed like the interpreter: no mul fold.
+  // The fused load-MAC is LSU-timed: no mul fold.
   EXPECT_EQ(
       cluster::threaded_resolve(Op::kPvSdotspBMem, pmca_cfg).static_cycles,
       1u);
-  // RV64-only ops are host-side handlers and cluster deopt points.
+  // RV64-only ops are host-side handlers and cluster trap ops.
   EXPECT_EQ(cluster::threaded_resolve(Op::kLd, pmca_cfg).fn, nullptr);
   EXPECT_NE(host::threaded_resolve(Op::kLd, host_cfg).fn, nullptr);
 }
 
 TEST(ThreadedDeopt, InvalidationRoundTripRelowersBlock) {
   core::HulkVSoc soc(fast_config());
-  soc.host().set_tier(isa::ExecTier::kThreaded);
   auto make = [](i64 value) {
     Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
     a.li(a0, value);
@@ -136,134 +136,110 @@ TEST(ThreadedDeopt, InvalidationRoundTripRelowersBlock) {
 }
 
 TEST(ThreadedDeopt, MidBlockEcallResumesAtExactPcInstretCycle) {
-  // An ecall in a loop body: the threaded tier must hand over to the
-  // interpreter at the ecall's pc with the instret/cycle the
-  // interpreter would have there, then resume threaded after it.
-  struct Obs {
-    std::vector<std::pair<Addr, std::pair<u64, Cycles>>> at_ecall;
-    u64 exit_code = 0;
-    u64 instret = 0;
-    Cycles cycles = 0;
-    u64 a0 = 0;
-  };
-  auto run_tier = [&](isa::ExecTier tier) {
-    core::HulkVSoc soc(fast_config());
-    soc.host().set_tier(tier);
-    Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
-    a.li(t0, 3);
-    a.li(a0, 0);
-    a.label("loop");
-    a.addi(a0, a0, 1);
-    a.li(a7, 0);  // "observe" syscall, continues
-    a.ecall();
-    a.addi(t0, t0, -1);
-    a.bnez(t0, "loop");
-    a.li(a7, 93);
-    a.ecall();
-    soc.load_program(core::layout::kHostCodeBase, a.assemble());
+  // An ecall in a loop body traps at the ecall's pc with the
+  // instret/cycle the interpreter had there, and execution resumes
+  // after it. The expected values were recorded from the interpreter.
+  core::HulkVSoc soc(fast_config());
+  Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
+  a.li(t0, 3);
+  a.li(a0, 0);
+  a.label("loop");
+  a.addi(a0, a0, 1);
+  a.li(a7, 0);  // "observe" syscall, continues
+  a.label("ecall");
+  a.ecall();
+  a.addi(t0, t0, -1);
+  a.bnez(t0, "loop");
+  a.li(a7, 93);
+  a.ecall();
+  soc.load_program(core::layout::kHostCodeBase, a.assemble());
+  const Addr ecall_pc = a.address_of("ecall");
 
-    Obs obs;
-    soc.host().set_syscall_handler(
-        [&obs](host::Cva6Core& c) -> host::Cva6Core::SyscallAction {
-          if (c.reg(17) == 93) return host::Cva6Core::SyscallAction::kExit;
-          obs.at_ecall.push_back({c.pc(), {c.instret(), c.now()}});
-          return host::Cva6Core::SyscallAction::kContinue;
-        });
-    soc.host().set_pc(core::layout::kHostCodeBase);
-    const auto run = soc.host().run();
-    obs.exit_code = run.exit_code;
-    obs.instret = run.instret;
-    obs.cycles = run.cycles;
-    obs.a0 = soc.host().reg(10);
-    return obs;
-  };
+  std::vector<std::tuple<Addr, u64, Cycles>> at_ecall;
+  soc.host().set_syscall_handler(
+      [&at_ecall](host::Cva6Core& c) -> host::Cva6Core::SyscallAction {
+        if (c.reg(a7) == 93) return host::Cva6Core::SyscallAction::kExit;
+        at_ecall.emplace_back(c.pc(), c.instret(), c.now());
+        return host::Cva6Core::SyscallAction::kContinue;
+      });
+  soc.host().set_pc(core::layout::kHostCodeBase);
+  const auto run = soc.host().run();
 
-  const Obs interp = run_tier(isa::ExecTier::kInterp);
-  const Obs threaded = run_tier(isa::ExecTier::kThreaded);
-  EXPECT_EQ(interp.at_ecall.size(), 3u);
-  ASSERT_EQ(threaded.at_ecall.size(), interp.at_ecall.size());
-  for (size_t i = 0; i < interp.at_ecall.size(); ++i) {
-    EXPECT_EQ(threaded.at_ecall[i].first, interp.at_ecall[i].first)
-        << "ecall #" << i << " pc";
-    EXPECT_EQ(threaded.at_ecall[i].second.first,
-              interp.at_ecall[i].second.first)
-        << "ecall #" << i << " instret";
-    EXPECT_EQ(threaded.at_ecall[i].second.second,
-              interp.at_ecall[i].second.second)
-        << "ecall #" << i << " cycle";
-  }
-  EXPECT_EQ(threaded.exit_code, interp.exit_code);
-  EXPECT_EQ(threaded.instret, interp.instret);
-  EXPECT_EQ(threaded.cycles, interp.cycles);
-  EXPECT_EQ(threaded.a0, interp.a0);
+  const std::vector<std::tuple<Addr, u64, Cycles>> expected = {
+      {ecall_pc, 4, 38}, {ecall_pc, 9, 43}, {ecall_pc, 14, 48}};
+  EXPECT_EQ(ecall_pc, core::layout::kHostCodeBase + 0x10);
+  EXPECT_EQ(at_ecall, expected);
+  EXPECT_EQ(run.exit_code, 3u);
+  EXPECT_EQ(run.instret, 19u);
+  EXPECT_EQ(run.cycles, 56u);
+  EXPECT_EQ(soc.host().reg(a0), 3u);
 }
 
 TEST(ThreadedTier, BoundedRunsRetireTheExactBudget) {
-  // run(max_instructions) must cut a block mid-way at the same point on
-  // both tiers (the budget-cut path re-establishes pc_/next_pc_).
-  auto run_chunked = [&](isa::ExecTier tier) {
-    core::HulkVSoc soc(fast_config());
-    soc.host().set_tier(tier);
-    Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
-    a.li(t0, 50);
-    a.li(a0, 0);
-    a.label("loop");
-    a.addi(a0, a0, 2);
-    a.addi(t0, t0, -1);
-    a.bnez(t0, "loop");
-    a.li(a7, 93);
-    a.ecall();
-    soc.load_program(core::layout::kHostCodeBase, a.assemble());
-    soc.host().set_pc(core::layout::kHostCodeBase);
-    std::vector<std::pair<Addr, Cycles>> checkpoints;
-    for (;;) {
-      const auto run = soc.host().run(/*max_instructions=*/7);
-      checkpoints.push_back({soc.host().pc(), soc.host().now()});
-      if (run.exited) break;
-    }
-    return checkpoints;
-  };
-  const auto interp = run_chunked(isa::ExecTier::kInterp);
-  const auto threaded = run_chunked(isa::ExecTier::kThreaded);
-  EXPECT_EQ(interp, threaded);
-  EXPECT_GT(interp.size(), 10u);  // genuinely chunked, not one run
+  // run(max_instructions) cuts a block mid-way at the interpreter's
+  // point (the budget-cut path re-establishes pc_/next_pc_): the
+  // (pc, cycle) after every 7-instruction chunk, recorded from the
+  // interpreter.
+  core::HulkVSoc soc(fast_config());
+  Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
+  a.li(t0, 50);
+  a.li(a0, 0);
+  a.label("loop");
+  a.addi(a0, a0, 2);
+  a.addi(t0, t0, -1);
+  a.bnez(t0, "loop");
+  a.li(a7, 93);
+  a.ecall();
+  soc.load_program(core::layout::kHostCodeBase, a.assemble());
+  soc.host().set_pc(core::layout::kHostCodeBase);
+  std::vector<std::pair<Addr, Cycles>> checkpoints;
+  for (;;) {
+    const auto run = soc.host().run(/*max_instructions=*/7);
+    checkpoints.push_back({soc.host().pc(), soc.host().now()});
+    if (run.exited) break;
+  }
+  constexpr Addr kBase = core::layout::kHostCodeBase;
+  std::vector<std::pair<Addr, Cycles>> expected;
+  // Seven loop passes of three chunks each, then the exit chunk.
+  for (Cycles c = 40; c <= 166; c += 21) {
+    expected.push_back({kBase + 0x10, c});
+    expected.push_back({kBase + 0x8, c + 7});
+    expected.push_back({kBase + 0xc, c + 14});
+  }
+  expected.push_back({kBase + 0x1c, 191});
+  EXPECT_EQ(checkpoints, expected);
 }
 
 TEST(ThreadedTier, ClusterKernelMatchesInterpExactly) {
-  // The cluster tier across hardware loops, MACs and an envcall exit:
-  // per-core cycle/instret equality against the interpreter.
-  auto run_tier = [&](isa::ExecTier tier) {
-    core::HulkVSoc soc(fast_config());
-    for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
-      soc.cluster().core(c).set_tier(tier);
-    }
-    Assembler a(0, /*rv64=*/false);
-    a.li(t0, 0);
-    a.li(t1, 3);
-    a.li(t4, 500);
-    a.lp_count(0, t4);
-    a.lp_starti(0, "body");
-    a.lp_endi(0, "end");
-    a.label("body");
-    a.rr(Op::kPMac, t0, t1, t1);
-    a.addi(t2, t2, 1);
-    a.label("end");
-    a.addi(t3, t3, 1);
-    a.li(a7, cluster::envcall::kExit);
-    a.ecall();
-    soc.load_program(mem::map::kL2Base, a.assemble());
-    const auto run = soc.cluster().run_kernel(0, mem::map::kL2Base, 0);
-    std::vector<std::pair<Cycles, u64>> per_core;
-    for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
-      per_core.push_back({soc.cluster().core(c).now(),
-                          soc.cluster().core(c).instret()});
-    }
-    return std::make_pair(run.finish, per_core);
-  };
-  const auto interp = run_tier(isa::ExecTier::kInterp);
-  const auto threaded = run_tier(isa::ExecTier::kThreaded);
-  EXPECT_EQ(interp.first, threaded.first);
-  EXPECT_EQ(interp.second, threaded.second);
+  // Hardware loops, MACs and an envcall exit: per-core cycle/instret
+  // equal to the interpreter's, recorded from it.
+  core::HulkVSoc soc(fast_config());
+  Assembler a(0, /*rv64=*/false);
+  a.li(t0, 0);
+  a.li(t1, 3);
+  a.li(t4, 500);
+  a.lp_count(0, t4);
+  a.lp_starti(0, "body");
+  a.lp_endi(0, "end");
+  a.label("body");
+  a.rr(Op::kPMac, t0, t1, t1);
+  a.addi(t2, t2, 1);
+  a.label("end");
+  a.addi(t3, t3, 1);
+  a.li(a7, cluster::envcall::kExit);
+  a.ecall();
+  soc.load_program(mem::map::kL2Base, a.assemble());
+  const auto run = soc.cluster().run_kernel(0, mem::map::kL2Base, 0);
+  std::vector<std::pair<Cycles, u64>> per_core;
+  for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
+    per_core.push_back({soc.cluster().core(c).now(),
+                        soc.cluster().core(c).instret()});
+  }
+  const std::vector<std::pair<Cycles, u64>> expected = {
+      {1026, 1009}, {1026, 1009}, {1018, 1009}, {1018, 1009},
+      {1018, 1009}, {1018, 1009}, {1018, 1009}, {1018, 1009}};
+  EXPECT_EQ(run.finish, 1026u);
+  EXPECT_EQ(per_core, expected);
 }
 
 // ---------------------------------------------------------------------
@@ -368,6 +344,83 @@ TEST(ThreadedCursor, ResetForRunAtParkedPcAfterSimErrorMatchesFreshSoc) {
   core::HulkVSoc fresh(fast_config());
   fresh.load_program(kCode, words);
   EXPECT_EQ(restart(faulted), restart(fresh));
+}
+
+// ---------------------------------------------------------------------
+// Trap path: errors name the op and the exact pc, in hex.
+// ---------------------------------------------------------------------
+
+/// The SimError text `run` throws, or "" when it returns.
+template <typename F>
+std::string sim_error(F&& run) {
+  try {
+    run();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Two ALU ops, then the instruction word `trap` mid-block at base + 8.
+std::vector<u32> trap_program(Addr base, bool rv64, u32 trap) {
+  Assembler a(base, rv64);
+  a.addi(t0, t0, 1);
+  a.addi(t1, t1, 1);
+  std::vector<u32> words = a.assemble();
+  words.push_back(trap);
+  return words;
+}
+
+/// An all-ones word: no RISC-V encoding, decodes to Op::kIllegal.
+constexpr u32 kUndecodable = 0xFFFFFFFFu;
+
+std::string host_trap(const std::vector<u32>& words) {
+  core::HulkVSoc soc(fast_config());
+  soc.load_program(core::layout::kHostCodeBase, words);
+  soc.host().set_pc(core::layout::kHostCodeBase);
+  return sim_error([&] { soc.host().run(10); });
+}
+
+std::string pmca_trap(const std::vector<u32>& words) {
+  core::HulkVSoc soc(fast_config());
+  soc.load_program(kCode, words);
+  return sim_error([&] { soc.cluster().run_kernel(0, kCode, 0); });
+}
+
+TEST(ThreadedTrap, HostEbreakNamesOpAndHexPc) {
+  const std::string what = host_trap(trap_program(
+      core::layout::kHostCodeBase, true, isa::encode({.op = Op::kEbreak})));
+  EXPECT_NE(what.find("ebreak"), std::string::npos) << what;
+  EXPECT_NE(what.find("pc=0x80100008"), std::string::npos) << what;
+}
+
+TEST(ThreadedTrap, HostUndecodableWordNamesOpAndHexPc) {
+  ASSERT_EQ(isa::decode(kUndecodable).op, Op::kIllegal);
+  const std::string what = host_trap(
+      trap_program(core::layout::kHostCodeBase, true, kUndecodable));
+  EXPECT_NE(what.find("'illegal'"), std::string::npos) << what;
+  EXPECT_NE(what.find("pc=0x80100008"), std::string::npos) << what;
+}
+
+TEST(ThreadedTrap, PmcaEbreakNamesOpAndHexPc) {
+  const std::string what =
+      pmca_trap(trap_program(kCode, false, isa::encode({.op = Op::kEbreak})));
+  EXPECT_NE(what.find("ebreak"), std::string::npos) << what;
+  EXPECT_NE(what.find("pc=0x1c000008"), std::string::npos) << what;
+}
+
+TEST(ThreadedTrap, PmcaUndecodableWordNamesOpAndHexPc) {
+  const std::string what = pmca_trap(trap_program(kCode, false, kUndecodable));
+  EXPECT_NE(what.find("'illegal'"), std::string::npos) << what;
+  EXPECT_NE(what.find("pc=0x1c000008"), std::string::npos) << what;
+}
+
+TEST(ThreadedTrap, PmcaLdNamesOpAndHexPc) {
+  // RV64 loads are host-only: a PMCA kernel traps on them.
+  const std::string what = pmca_trap(trap_program(
+      kCode, false, isa::encode({.op = Op::kLd, .rd = a0, .rs1 = t0})));
+  EXPECT_NE(what.find("'ld'"), std::string::npos) << what;
+  EXPECT_NE(what.find("pc=0x1c000008"), std::string::npos) << what;
 }
 
 }  // namespace

@@ -83,37 +83,11 @@ std::string metric_unit(const json::Value& run, const std::string& key) {
   return unit && unit->is(json::Kind::kString) ? unit->as_string() : "";
 }
 
-/// Execution tier a run was recorded under ("interp" | "threaded");
-/// empty for pre-v2 manifests that predate the field.
-std::string tier_of(const json::Value& run) {
-  const json::Value* tier = run.find("tier");
-  return tier && tier->is(json::Kind::kString) ? tier->as_string() : "";
-}
-
 /// Manifest kind ("bench" = one bench run, "serve" = a serve-daemon
 /// lifetime); empty for pre-v3 manifests that predate the field.
 std::string kind_of(const json::Value& run) {
   const json::Value* kind = run.find("kind");
   return kind && kind->is(json::Kind::kString) ? kind->as_string() : "";
-}
-
-/// Latest run per execution tier, in first-seen tier order (manifests
-/// are append-only logs, so a later line of the same tier is newer).
-std::vector<std::pair<std::string, const json::Value*>> latest_per_tier(
-    const std::vector<json::Value>& runs) {
-  std::vector<std::pair<std::string, const json::Value*>> out;
-  for (const json::Value& run : runs) {
-    const std::string tier = tier_of(run);
-    const auto it =
-        std::find_if(out.begin(), out.end(),
-                     [&](const auto& entry) { return entry.first == tier; });
-    if (it == out.end()) {
-      out.emplace_back(tier, &run);
-    } else {
-      it->second = &run;
-    }
-  }
-  return out;
 }
 
 /// ISO-ish local date from a nanosecond epoch timestamp, for `list`.
@@ -141,15 +115,12 @@ int cmd_list(const std::vector<std::string>& files) {
       const size_t nphases =
           phases && phases->is(json::Kind::kObject)
               ? phases->as_object().size() : 0;
-      const std::string tier = tier_of(run);
       const std::string kind = kind_of(run);
       std::printf(
-          "  [%zu] %s  %s  kind=%s  tier=%s  host=%s  %zu metrics, "
-          "%zu phases\n",
+          "  [%zu] %s  %s  kind=%s  host=%s  %zu metrics, %zu phases\n",
           i, ts ? date_of(static_cast<u64>(ts->as_number())).c_str() : "?",
           bench ? bench->as_string().c_str() : "?",
           kind.empty() ? "?" : kind.c_str(),
-          tier.empty() ? "?" : tier.c_str(),
           host ? host->as_string().c_str() : "?", metrics, nphases);
     }
   }
@@ -241,56 +212,9 @@ int diff_pair(const json::Value& a, const json::Value& b,
 
 int cmd_diff(const std::string& path_a, const std::string& path_b,
              double threshold_pct) {
-  // Runs are only comparable within one execution tier (the tiers have
-  // identical simulated timing but very different simulator throughput,
-  // so a cross-tier diff of instr/s or wall-time metrics is noise).
-  // Group each file by tier and diff the latest run per shared tier.
-  const std::vector<json::Value> runs_a = load_manifests(path_a);
-  const std::vector<json::Value> runs_b = load_manifests(path_b);
-  const auto tiers_a = latest_per_tier(runs_a);
-  const auto tiers_b = latest_per_tier(runs_b);
-
-  int status = 0;
-  size_t paired = 0;
-  for (const auto& [tier, run_a] : tiers_a) {
-    const auto it =
-        std::find_if(tiers_b.begin(), tiers_b.end(),
-                     [&](const auto& entry) { return entry.first == tier; });
-    if (it == tiers_b.end()) {
-      std::fprintf(stderr,
-                   "hulkv-stats diff: warning — tier \"%s\" only in %s, "
-                   "skipped\n",
-                   tier.c_str(), path_a.c_str());
-      continue;
-    }
-    if (paired != 0) std::printf("\n");
-    if (!tier.empty()) std::printf("tier=%s\n", tier.c_str());
-    ++paired;
-    status |= diff_pair(*run_a, *it->second, threshold_pct);
-  }
-  for (const auto& [tier, run_b] : tiers_b) {
-    const auto it =
-        std::find_if(tiers_a.begin(), tiers_a.end(),
-                     [&](const auto& entry) { return entry.first == tier; });
-    if (it == tiers_a.end()) {
-      std::fprintf(stderr,
-                   "hulkv-stats diff: warning — tier \"%s\" only in %s, "
-                   "skipped\n",
-                   tier.c_str(), path_b.c_str());
-    }
-  }
-  if (paired == 0) {
-    // No tier appears on both sides (e.g. interp-only vs threaded-only
-    // logs): fall back to latest-vs-latest, flagged as cross-tier.
-    const std::string ta = tier_of(runs_a.back());
-    const std::string tb = tier_of(runs_b.back());
-    std::fprintf(stderr,
-                 "hulkv-stats diff: warning — no shared tier, comparing "
-                 "latest runs of different tiers (\"%s\" vs \"%s\")\n",
-                 ta.c_str(), tb.c_str());
-    return diff_pair(runs_a.back(), runs_b.back(), threshold_pct);
-  }
-  return status;
+  // Manifests are append-only logs: the last line is the latest run.
+  return diff_pair(load_manifests(path_a).back(),
+                   load_manifests(path_b).back(), threshold_pct);
 }
 
 int cmd_trend(const std::string& path, const std::string& only_metric) {
@@ -673,8 +597,7 @@ int usage() {
       "  list  <manifests.jsonl>...            one line per recorded run\n"
       "  agg   <manifests.jsonl> [--metric K]  aggregate metrics across runs\n"
       "  diff  <a.jsonl> <b.jsonl> [--threshold-pct P]\n"
-      "                                        compare the latest runs,\n"
-      "                                        grouped by execution tier\n"
+      "                                        compare the latest runs\n"
       "  trend <BENCH_simperf.json> [--metric N]\n"
       "                                        baseline history over time\n"
       "  check <manifests.jsonl> [--schema scripts/manifest_schema.json]\n"
