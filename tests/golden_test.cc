@@ -15,15 +15,16 @@
 //  * The observed runs: fig6_speedup --profile's folded stacks and the
 //    FNV-1a digest of its annotated view (tests/golden/profile/), and
 //    the digest of its --trace file (tests/golden/trace/).
+//  * EXPERIMENTS.md's measured blocks equal the bench goldens.
 // All are regenerated with HULKV_REGEN_GOLDEN=1; a change that does so
 // must say which simulated number moved and why.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -55,11 +56,22 @@ namespace {
 #ifndef HULKV_TEST_DATA_DIR
 #define HULKV_TEST_DATA_DIR "."
 #endif
+#ifndef HULKV_DOCS_DIR
+#define HULKV_DOCS_DIR ".."
+#endif
 
 bool regenerating() { return std::getenv("HULKV_REGEN_GOLDEN") != nullptr; }
 
 std::string golden_path(const std::string& name) {
   return std::string(HULKV_TEST_DATA_DIR) + "/golden/" + name;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 /// Compare `actual` with the golden file `name`, or rewrite the file
@@ -111,14 +123,39 @@ TEST_P(GoldenBench, StdoutMatches) {
   expect_golden("bench/" + bench + ".txt", out);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    FigureBenches, GoldenBench,
-    ::testing::Values("fig6_speedup", "fig7_llc_sweep", "fig8_llc_effect",
-                      "fig9_energy_eff", "table1_comparison", "table2_power",
-                      "ablation_memsys"),
-    [](const ::testing::TestParamInfo<const char*>& bench) {
-      return std::string(bench.param);
-    });
+/// EXPERIMENTS.md shows each bench's output as the code block after a
+/// `<!-- golden: tests/golden/bench/<bench>.txt -->` marker; the block
+/// must be the golden, byte for byte.
+class GoldenExperiments : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenExperiments, BlockMatchesGolden) {
+  const std::string golden = "bench/" + std::string(GetParam()) + ".txt";
+  const std::string text =
+      read_file(std::string(HULKV_DOCS_DIR) + "/EXPERIMENTS.md");
+  const std::string marker =
+      "<!-- golden: tests/golden/" + golden + " -->\n```\n";
+  const size_t start = text.find(marker);
+  ASSERT_NE(start, std::string::npos) << "EXPERIMENTS.md has no " << marker;
+  const size_t begin = start + marker.size();
+  const size_t end = text.find("```", begin);
+  ASSERT_NE(end, std::string::npos) << "unterminated block for " << golden;
+  EXPECT_EQ(text.substr(begin, end - begin), read_file(golden_path(golden)))
+      << "EXPERIMENTS.md's block for " << golden
+      << " differs from the golden; paste the golden into the block";
+}
+
+const auto kFigureBenches = ::testing::Values(
+    "fig6_speedup", "fig7_llc_sweep", "fig8_llc_effect", "fig9_energy_eff",
+    "table1_comparison", "table2_power", "ablation_memsys");
+
+std::string bench_name(const ::testing::TestParamInfo<const char*>& bench) {
+  return bench.param;
+}
+
+INSTANTIATE_TEST_SUITE_P(FigureBenches, GoldenBench, kFigureBenches,
+                         bench_name);
+INSTANTIATE_TEST_SUITE_P(FigureBenches, GoldenExperiments, kFigureBenches,
+                         bench_name);
 
 // ---------------------------------------------------------------------
 // Offload digests
@@ -422,36 +459,17 @@ TEST(GoldenServe, NoCacheSuiteRowsPerMemoryConfig) {
 // Observed runs: --profile and --trace
 // ---------------------------------------------------------------------
 
-/// A fresh scratch directory, removed with its files on destruction.
-class TempDir {
- public:
+/// A scratch directory removed (with its files) at scope exit.
+struct TempDir {
   TempDir() {
     char tmpl[] = "/tmp/hulkv_golden.XXXXXX";
-    if (mkdtemp(tmpl) != nullptr) path_ = tmpl;
+    path = mkdtemp(tmpl) != nullptr ? tmpl : "";
   }
   ~TempDir() {
-    for (const std::string& f : files_) std::remove(f.c_str());
-    if (!path_.empty()) rmdir(path_.c_str());
+    if (!path.empty()) std::filesystem::remove_all(path);
   }
-  bool ok() const { return !path_.empty(); }
-  /// Path of `name` inside the directory, deleted with it.
-  std::string file(const std::string& name) {
-    files_.push_back(path_ + "/" + name);
-    return files_.back();
-  }
-
- private:
-  std::string path_;
-  std::vector<std::string> files_;
+  std::string path;
 };
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing " << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 /// Size and FNV-1a digest of a file's bytes, one line.
 std::string size_and_digest(const std::string& bytes) {
@@ -462,21 +480,20 @@ std::string size_and_digest(const std::string& bytes) {
 }
 
 TEST(GoldenObserved, Fig6ProfileFoldedAndAnnotated) {
-  TempDir dir;
-  ASSERT_TRUE(dir.ok());
-  const std::string out = dir.file("fig6");
-  const std::string folded = dir.file("fig6.folded");
-  const std::string annotated = dir.file("fig6.annotated.txt");
-  run_stdout(std::string(HULKV_BENCH_DIR) + "/fig6_speedup --profile=" + out);
-  expect_golden("profile/fig6_speedup.folded", read_file(folded));
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  run_stdout(std::string(HULKV_BENCH_DIR) + "/fig6_speedup --profile=" +
+             dir.path + "/fig6");
+  expect_golden("profile/fig6_speedup.folded",
+                read_file(dir.path + "/fig6.folded"));
   expect_golden("profile/fig6_speedup.annotated.fnv1a",
-                size_and_digest(read_file(annotated)));
+                size_and_digest(read_file(dir.path + "/fig6.annotated.txt")));
 }
 
 TEST(GoldenObserved, Fig6TraceDigest) {
-  TempDir dir;
-  ASSERT_TRUE(dir.ok());
-  const std::string trace = dir.file("fig6.json");
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const std::string trace = dir.path + "/fig6.json";
   run_stdout(std::string(HULKV_BENCH_DIR) + "/fig6_speedup --trace=" + trace);
   expect_golden("trace/fig6_speedup.json.fnv1a",
                 size_and_digest(read_file(trace)));
