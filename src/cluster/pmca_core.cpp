@@ -1000,9 +1000,10 @@ void PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
       issue_cycle_ = cycle_;
       cycle_ += t.cyc;
       if ((t.flags & isa::threaded::kFlagTrap) != 0) {
-        // Trap (always block-terminal). It ends the slice: an envcall
-        // may have woken other cores, so the ready set changed under
-        // the scheduler; exit and barrier stop this core.
+        // Trap: only ecall returns (the other trap ops throw). It ends
+        // the slice: an envcall may have woken other cores, so the
+        // ready set changed under the scheduler; exit and barrier stop
+        // this core.
         trap(block->instrs[i]);
         ++instret_;
         if constexpr (kObserved) observe_retire(prof, *block, i);

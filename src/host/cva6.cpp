@@ -889,8 +889,8 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
 // per-instruction cost is added before the handler runs and instret_ is
 // counted after. pc_/next_pc_ are block carried: only control-tail
 // handlers write pc_; at block end the loop re-establishes the
-// `next_pc_ == pc_` retire invariant. Trap ops (flags & kFlagTrap —
-// always block-terminal) retire through trap() at their exact pc.
+// `next_pc_ == pc_` retire invariant. Trap ops (flags & kFlagTrap)
+// retire through trap() at their exact pc.
 //
 // The observed instantiation adds, per retired instruction, the
 // profiler bracket, the set_trace disassembly log and the trace commit
@@ -939,7 +939,8 @@ void Cva6Core::dispatch(u64 max_instructions, u64 start_instret,
       if constexpr (kObserved) observe_retire(prof, block, i);
     }
     if (i < count) {
-      // Trap: retire the block's last instruction at its exact pc.
+      // Trap: retire it at its exact pc. Only ecall and wfi return, and
+      // both end their block.
       const isa::Instr& in = block.instrs[i];
       pc_ = code[i].pc;
       fetch_timing(pc_);

@@ -36,8 +36,9 @@ namespace threaded {
 inline constexpr u16 kFlagLineCheck = 1u << 0;  // block entry: compare
 inline constexpr u16 kFlagLineEntry = 1u << 1;  // static line crossing
 /// Trap op (ecall/ebreak/wfi and ops the core has no handler for),
-/// retired through the core's trap(). Trap ops all end their block
-/// (BlockCache contract), so a trap is always block-terminal.
+/// retired through the core's trap(). The trap ops that return (ecall,
+/// wfi) end their block (BlockCache contract); the others throw, so
+/// execution never continues inside a block past a trap.
 inline constexpr u16 kFlagTrap = 1u << 2;
 /// May touch cross-core shared state (DecodedBlock::shared_mask bit,
 /// post fact-provider widening) — the cluster's run-ahead horizon check.

@@ -3,7 +3,7 @@
 // Where hulkv::trace and hulkv::profile observe the *guest* (simulated
 // events, simulated cycles), this layer observes the *simulator* as a
 // host process: RAII wall-clock spans bracket the simulator's own
-// phases — program analyze/load, block translation, interpreter
+// phases — program analyze/load, block translation, ISS
 // dispatch chunks, snapshot save/restore/digest, batch jobs — and feed
 // per-phase latency histograms (telemetry/histogram.hpp).
 //
