@@ -954,7 +954,7 @@ void PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
   };
   while (true) {
     if (block == nullptr) {
-      block = &blocks_.block_for_exec(pc_);
+      block = &blocks_.block_at(pc_);
       if (block->threaded.generation != block->generation) {
         const telemetry::Span span(telemetry::SpanPhase::kThreadedLower);
         isa::threaded::lower(

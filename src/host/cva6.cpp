@@ -902,7 +902,7 @@ void Cva6Core::dispatch(u64 max_instructions, u64 start_instret,
   // exited_ is false on entry (run() clears it) and only trap() can set
   // it, so it is re-checked only after a trap, not per block.
   while (!kBounded || instret_ - start_instret < max_instructions) {
-    isa::DecodedBlock& block = blocks_.block_for_exec(pc_);
+    isa::DecodedBlock& block = blocks_.block_at(pc_);
     if (block.threaded.generation != block.generation) {
       const telemetry::Span span(telemetry::SpanPhase::kThreadedLower);
       isa::threaded::lower(

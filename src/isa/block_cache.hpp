@@ -64,9 +64,9 @@ struct DecodedBlock {
   u32 min_cycles = 0;
   std::vector<Instr> instrs;
   /// Threaded-code form (DESIGN.md §15), lowered lazily by the owning
-  /// core's threaded dispatch loop on first execution of this block and
-  /// kept in sync via its own generation tag (stale after an
-  /// invalidation bump, re-lowered on next threaded dispatch).
+  /// core's dispatch loop on first execution of this block and kept in
+  /// sync via its own generation tag (stale after an invalidation bump,
+  /// re-lowered on next dispatch).
   threaded::ThreadedBlock threaded;
 };
 
@@ -110,16 +110,10 @@ class BlockCache {
   /// The decoded block starting at `pc`, translated on demand.
   /// The returned reference is stable until the cache is destroyed
   /// (values live in node-based map storage), but its contents are
-  /// only valid for the current generation.
-  const DecodedBlock& block_at(Addr pc) {
-    if (last_ != nullptr && last_->start == pc) return *last_;
-    return lookup_slow(pc);
-  }
-
-  /// Mutable variant for the threaded dispatch loops, which lazily
-  /// attach the lowered form to the block (DecodedBlock::threaded).
-  /// Same translation/memo behaviour as block_at().
-  DecodedBlock& block_for_exec(Addr pc) {
+  /// only valid for the current generation. Mutable because the
+  /// dispatch loops lazily attach the lowered form
+  /// (DecodedBlock::threaded).
+  DecodedBlock& block_at(Addr pc) {
     if (last_ != nullptr && last_->start == pc) return *last_;
     return lookup_slow(pc);
   }
