@@ -11,10 +11,12 @@
 # build tree; perfbench/ itself is only read), runs it there, and
 # buckets gprof's flat-profile self time by function name into:
 #
-#   dispatch/handlers  ISS slice loops, threaded handlers, exec()
+#   dispatch/handlers  ISS dispatch and slice loops (the compiler
+#                      inlines them into Cva6Core::run and
+#                      PmcaCore::run_slice), handlers, traps
 #   block lookup       BlockCache probes/translation, lowering, decode
-#   scheduler          CoreScheduler, Cluster::run_kernel, run_slice
-#                      entry, envcalls, event unit
+#   scheduler          CoreScheduler, Cluster::run_kernel, envcalls,
+#                      event unit
 #   TCDM               Tcdm banks and the cluster DMA
 #   L1/LLC/DRAM        cache models, LLC, external memories, the bus
 #   snapshot and wire  snapshot archive/digest, serve protocol/socket
@@ -66,8 +68,8 @@ LAYERS = [
     ("snapshot and wire", r"hulkv::snapshot::|hulkv::serve::|::serialize$|"
                           r"::state_digest$"),
     ("scheduler", r"CoreScheduler::|Cluster::run_kernel$|"
-                  r"PmcaCore::run_slice$|Cluster::handle_envcall$|"
-                  r"Cluster::release_barrier$|EventUnit::"),
+                  r"Cluster::handle_envcall$|Cluster::release_barrier$|"
+                  r"EventUnit::"),
     ("block lookup", r"BlockCache::|threaded::lower$|isa::decode$|"
                      r"(_Hashtable|_Map_base)<.*DecodedBlock"),
     ("TCDM", r"Tcdm::|ClusterDma::"),

@@ -170,7 +170,7 @@ void PmcaCore::store(Addr addr, u32 value, u32 bytes, Cycles issue) {
   }
 }
 
-// Inline: both slice loops call it once per retired instruction.
+// Inline: the slice loop calls it once per retired instruction.
 inline void PmcaCore::apply_hwloops() {
   // Innermost loop first (index 0). A loop fires when control falls onto
   // its end address from the body's last instruction.
