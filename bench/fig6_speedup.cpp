@@ -95,18 +95,6 @@ Addr alloc_random_f32(core::HulkVSoc& soc, runtime::OffloadRuntime& rt,
   return p;
 }
 
-Addr alloc_random_f16(core::HulkVSoc& soc, runtime::OffloadRuntime& rt,
-                      Xoshiro256& rng, u64 count) {
-  const Addr p = rt.hulk_malloc(count * 2);
-  std::vector<u16> data(count);
-  for (auto& v : data) {
-    v = float_to_half_bits(static_cast<float>(rng.next_range(-64, 64)) /
-                           16.0f);
-  }
-  soc.write_mem(p, data.data(), count * 2);
-  return p;
-}
-
 Row run_case(const Setup& setup) {
   core::HulkVSoc soc;  // the shipped SoC: HyperRAM + LLC
   runtime::OffloadRuntime rt(&soc);

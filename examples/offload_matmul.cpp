@@ -2,6 +2,11 @@
 // matrix multiplication offloaded to the PMCA via the OpenMP-style
 // runtime, verified against the host result and the golden model, with
 // the speedup and the lazy-code-load overhead reported.
+//
+// Flags: `--trace out.json` records the full SoC event trace and writes
+// a Perfetto/Chrome-loadable file (chrome://tracing or ui.perfetto.dev);
+// `--profile[=PATH]`, `--json PATH` and `--telemetry[=DIR]` work as on
+// the figure benches. It runs no sweep, so it has no `--jobs`.
 #include <cstdio>
 #include <vector>
 
@@ -11,18 +16,20 @@
 #include "kernels/cluster_kernels.hpp"
 #include "kernels/golden.hpp"
 #include "kernels/host_kernels.hpp"
+#include "profile/profile.hpp"
 #include "report/report.hpp"
 #include "runtime/offload.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
 
 using namespace hulkv;
 
 int main(int argc, char** argv) {
-  // `--trace out.json` records the full SoC event trace and writes a
-  // Perfetto/Chrome-loadable file (chrome://tracing or ui.perfetto.dev).
-  const report::BenchOptions options =
-      report::bench_args_or_exit(argc, argv, {.writes_trace = true});
+  const report::BenchOptions options = report::bench_args_or_exit(
+      argc, argv, {.writes_trace = true, .sweeps = false});
+  profile::configure(options);
+  telemetry::configure(options);
   if (!options.trace_path.empty()) trace::sink().enable();
 
   const u32 m = 48, n = 48, k = 64;
@@ -79,9 +86,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cold.code_load));
   std::printf("PMCA, warm offload:    %10llu cycles\n",
               static_cast<unsigned long long>(warm.total));
-  std::printf("speedup: %.1fx cold, %.1fx warm\n",
-              static_cast<double>(host_run.cycles) / cold.total,
-              static_cast<double>(host_run.cycles) / warm.total);
+  const double host_cycles = static_cast<double>(host_run.cycles);
+  const double speedup_cold = host_cycles / cold.total;
+  const double speedup_warm = host_cycles / warm.total;
+  std::printf("speedup: %.1fx cold, %.1fx warm\n", speedup_cold,
+              speedup_warm);
+
+  report::MetricsReport rep("offload_matmul");
+  rep.add_metric("cva6_cycles", report::Value::uinteger(host_run.cycles),
+                 "cycles");
+  rep.add_metric("pmca_cold_cycles", report::Value::uinteger(cold.total),
+                 "cycles");
+  rep.add_metric("code_load_cycles", report::Value::uinteger(cold.code_load),
+                 "cycles");
+  rep.add_metric("pmca_warm_cycles", report::Value::uinteger(warm.total),
+                 "cycles");
+  rep.add_metric("speedup_cold", report::Value::number(speedup_cold, 1), "x");
+  rep.add_metric("speedup_warm", report::Value::number(speedup_warm, 1), "x");
 
   // Verify against the golden model and the host result.
   std::vector<i32> device_c(m * n), host_c(m * n), want(m * n);
@@ -97,6 +118,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("verification: PMCA result == CVA6 result == golden model\n");
+
+  // The lines above are the demo's output; the report (with the profile
+  // tables under --profile) is printed only when a flag asks for it.
+  profile::finish_bench(rep, options);
+  if (options.profile || !options.json_path.empty()) {
+    report::finish_bench(rep, options);
+  }
+  telemetry::finish_bench(rep, options);
 
   if (!options.trace_path.empty()) {
     auto& sink = trace::sink();

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <istream>
 #include <mutex>
 #include <sstream>
-#include <streambuf>
 #include <thread>
 
 #include "common/log.hpp"
@@ -20,17 +18,6 @@ namespace {
 
 /// Stats of the most recent run_jobs() (orchestration-thread owned).
 SweepStats g_last_stats;  // NOLINT(cert-err58-cpp)
-
-/// Read-only istream over a byte span (no copy — the snapshot blob is
-/// shared by every concurrent restore).
-class SpanBuf : public std::streambuf {
- public:
-  SpanBuf(const u8* data, u64 size) {
-    // std::streambuf wants char*; the get area is never written through.
-    char* base = const_cast<char*>(reinterpret_cast<const char*>(data));
-    setg(base, base, base + size);
-  }
-};
 
 }  // namespace
 
@@ -196,18 +183,12 @@ SocSnapshot SocSnapshot::capture(
   return snap;
 }
 
-SocSnapshot SocSnapshot::from_bytes(std::vector<u8> bytes) {
-  SocSnapshot snap;
-  snap.bytes_ = std::move(bytes);
-  return snap;
-}
-
 void SocSnapshot::restore_into(
     core::HulkVSoc& soc, const core::HulkVSoc::SectionReaderFn& extra) const {
   HULKV_CHECK(!bytes_.empty(), "restore from an empty SocSnapshot");
-  SpanBuf buf(bytes_.data(), bytes_.size());
-  std::istream is(&buf);
-  soc.restore(is, extra);
+  // No checksum pass: capture() is the only source of bytes_, and its
+  // Writer computed the trailer over exactly these bytes.
+  soc.restore(snapshot::Reader(bytes_.data(), bytes_.size()), extra);
 }
 
 report::MetricsReport merge_reports(

@@ -81,7 +81,8 @@ void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job);
 
 /// An in-memory SoC checkpoint (the same container format Soc::save
 /// writes to disk). Immutable once captured — any number of workers may
-/// fork SoCs from one snapshot concurrently.
+/// fork SoCs from one snapshot concurrently. capture() is the only way
+/// to fill one, so its bytes are always the ones its Writer checksummed.
 class SocSnapshot {
  public:
   SocSnapshot() = default;
@@ -92,11 +93,9 @@ class SocSnapshot {
       core::HulkVSoc& soc,
       const core::HulkVSoc::SectionWriterFn& extra = nullptr);
 
-  /// Wrap bytes previously produced by capture() or Soc::save().
-  static SocSnapshot from_bytes(std::vector<u8> bytes);
-
   /// Restore this checkpoint into `soc` (built from the same config;
-  /// the kMeta fingerprint is validated). Const and reentrant.
+  /// the kMeta fingerprint is validated). Reads the sections in place,
+  /// without copying or re-hashing the bytes. Const and reentrant.
   void restore_into(core::HulkVSoc& soc,
                     const core::HulkVSoc::SectionReaderFn& extra =
                         nullptr) const;

@@ -217,9 +217,18 @@ Cluster::KernelResult Cluster::run_kernel(Cycles start_time, Addr entry,
 void Cluster::serialize(snapshot::Archive& ar) {
   ar.pod(team_size_);
   ar.bool_vec(at_barrier_);
+  ar.expect_size(at_barrier_.size(), config_.num_cores,
+                 "cluster barrier table");
   u32 team = event_unit_->num_cores();
   ar.pod(team);
-  if (ar.loading()) event_unit_ = std::make_unique<EventUnit>(team);
+  if (ar.loading()) {
+    if (team == 0 || team > config_.num_cores) {
+      throw SimError("snapshot: event unit team of " + std::to_string(team) +
+                     " cores on a " + std::to_string(config_.num_cores) +
+                     "-core cluster");
+    }
+    event_unit_ = std::make_unique<EventUnit>(team);
+  }
   event_unit_->serialize(ar);
   tcdm_.serialize(ar);
   icache_.serialize(ar);

@@ -50,6 +50,7 @@ void EventUnit::serialize(snapshot::Archive& ar) {
   ar.pod(max_arrival_);
   ar.pod(first_arrival_);
   ar.bool_vec(arrived_);
+  ar.expect_size(arrived_.size(), num_cores_, "event unit arrival table");
   stats_.serialize(ar);
 }
 

@@ -71,6 +71,7 @@ Cycles Tcdm::access(Cycles now, Addr offset, u32 bytes) {
 void Tcdm::serialize(snapshot::Archive& ar) {
   ar.bytes(storage_.data(), storage_.size());
   ar.pod_vec(bank_free_);
+  ar.expect_size(bank_free_.size(), config_.num_banks, "tcdm bank table");
   stats_.serialize(ar);
   ar.pod(pending_accesses_);
 }

@@ -40,10 +40,11 @@ class Iopmp {
 
   /// Snapshot traversal (grant table + enforcing flag).
   void serialize(snapshot::Archive& ar) {
-    u64 count = regions_.size();
-    ar.pod(count);
-    if (ar.loading()) regions_.resize(count);
     // Field by field: Region has padding bytes.
+    constexpr u64 kRegionBytes = sizeof(Addr) + sizeof(u64) + 2 * sizeof(bool);
+    u64 count = regions_.size();
+    ar.count(count, kRegionBytes);
+    if (ar.loading()) regions_.resize(count);
     for (Region& region : regions_) {
       ar.pod(region.base);
       ar.pod(region.size);

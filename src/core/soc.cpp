@@ -1,5 +1,7 @@
 #include "core/soc.hpp"
 
+#include <istream>
+
 #include "common/log.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -249,9 +251,42 @@ void HulkVSoc::save(std::ostream& os, const SectionWriterFn& extra) {
   writer.finish();
 }
 
+namespace {
+
+/// Every byte left in `is`.
+std::vector<u8> read_to_end(std::istream& is) {
+  constexpr u64 kChunk = 64 * 1024;
+  std::vector<u8> bytes;
+  for (;;) {
+    const u64 have = bytes.size();
+    bytes.resize(have + kChunk);
+    is.read(reinterpret_cast<char*>(bytes.data() + have),
+            static_cast<std::streamsize>(kChunk));
+    bytes.resize(have + static_cast<u64>(is.gcount()));
+    if (!is) break;
+  }
+  if (is.bad()) throw SimError("snapshot: read failed");
+  return bytes;
+}
+
+}  // namespace
+
 void HulkVSoc::restore(std::istream& is, const SectionReaderFn& extra) {
   const telemetry::Span span(telemetry::SpanPhase::kSnapshotRestore);
-  snapshot::Reader reader(is);
+  const std::vector<u8> bytes = read_to_end(is);
+  const snapshot::Reader reader(bytes.data(), bytes.size());
+  reader.verify_checksum();
+  restore_sections(reader, extra);
+}
+
+void HulkVSoc::restore(const snapshot::Reader& reader,
+                       const SectionReaderFn& extra) {
+  const telemetry::Span span(telemetry::SpanPhase::kSnapshotRestore);
+  restore_sections(reader, extra);
+}
+
+void HulkVSoc::restore_sections(const snapshot::Reader& reader,
+                                const SectionReaderFn& extra) {
   reader.section(snapshot::kMeta, [this](snapshot::Archive& ar) {
     u64 fingerprint = 0;
     ar.pod(fingerprint);

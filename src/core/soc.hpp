@@ -138,8 +138,17 @@ class HulkVSoc {
   /// must have been built from the same configuration (validated via
   /// the kMeta fingerprint; throws SimError otherwise). Restore is
   /// exact: the restored SoC continues cycle-identically to the saved
-  /// one.
+  /// one. Reads `is` to its end and verifies the checksum trailer
+  /// before any component state is touched: this is where snapshot
+  /// bytes enter from outside the process.
   void restore(std::istream& is, const SectionReaderFn& extra = nullptr);
+
+  /// Restore from a snapshot already indexed in memory, without
+  /// re-hashing it: the caller vouches that the bytes are the ones a
+  /// Writer checksummed (batch::SocSnapshot holds only bytes its own
+  /// capture() wrote).
+  void restore(const snapshot::Reader& reader,
+               const SectionReaderFn& extra = nullptr);
 
   /// FNV-1a digest over the same traversal save() uses — a cheap
   /// whole-SoC state-equality check.
@@ -165,6 +174,10 @@ class HulkVSoc {
   void visit_sections(
       const std::function<void(u32, const std::function<void(snapshot::Archive&)>&)>&
           visit);
+
+  /// The kMeta check, every visit_sections() section, then `extra`.
+  void restore_sections(const snapshot::Reader& reader,
+                        const SectionReaderFn& extra);
 
   /// IOPMP grants established at construction (re-applied by reset()).
   void grant_default_iopmp();

@@ -94,6 +94,8 @@ void RpcDramModel::serialize(snapshot::Archive& ar) {
   ar.pod(busy_until_);
   ar.pod(next_refresh_);
   ar.pod_vec(open_row_);
+  ar.expect_size(open_row_.size(), config_.num_banks,
+                 "rpc-dram row buffer table");
   stats_.serialize(ar);
 }
 

@@ -273,8 +273,11 @@ void OffloadRuntime::serialize(snapshot::Archive& ar) {
   shared_.serialize(ar);
   l2_arena_.serialize(ar);
   tcdm_arena_.serialize(ar);
+  // Smallest image record: the name's length prefix and three fields.
+  constexpr u64 kImageBytes =
+      sizeof(u64) + 2 * sizeof(Addr) + sizeof(Image::bytes);
   u64 count = images_.size();
-  ar.pod(count);
+  ar.count(count, kImageBytes);
   if (ar.loading()) {
     images_.resize(count);
     names_.resize(count);

@@ -84,6 +84,17 @@ class Archive {
     bytes(&v, sizeof(T));
   }
 
+  /// Visit an element count. When loading, a count whose elements (at
+  /// least `elem_bytes` each in the payload) cannot fit in the bytes
+  /// left is a truncated section, so a corrupt count never sizes an
+  /// allocation beyond its section.
+  void count(u64& n, u64 elem_bytes);
+
+  /// When loading, reject a container whose size differs from the one
+  /// the SoC configuration fixes (`what` names it in the error); later
+  /// accesses index it by configured ids.
+  void expect_size(u64 got, u64 want, const char* what) const;
+
   /// Visit a length-prefixed string.
   void str(std::string& s);
 
@@ -92,10 +103,10 @@ class Archive {
   void pod_vec(std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Archive::pod_vec needs trivially copyable elements");
-    u64 count = v.size();
-    pod(count);
-    if (loading()) v.resize(count);
-    if (count != 0) bytes(v.data(), count * sizeof(T));
+    u64 n = v.size();
+    count(n, sizeof(T));
+    if (loading()) v.resize(n);
+    if (n != 0) bytes(v.data(), n * sizeof(T));
   }
 
   /// Visit a vector<bool> (stored as one byte per element).

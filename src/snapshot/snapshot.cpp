@@ -1,6 +1,6 @@
 #include "snapshot/snapshot.hpp"
 
-#include <istream>
+#include <cstring>
 #include <ostream>
 
 namespace hulkv::snapshot {
@@ -56,71 +56,81 @@ Writer::~Writer() {
   // snapshot), not silent corruption.
 }
 
-Reader::Reader(std::istream& is) {
-  const auto read_exact = [&](void* dst, u64 len, const char* what) {
-    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(len));
-    if (static_cast<u64>(is.gcount()) != len) {
+Reader::Reader(const u8* data, u64 size) {
+  u64 pos = 0;
+  const auto take = [&](void* dst, u64 len, const char* what) {
+    if (len > size - pos) {
       throw SimError(std::string("snapshot: truncated file while reading ") +
                      what);
     }
+    std::memcpy(dst, data + pos, len);
+    pos += len;
   };
 
   u32 magic = 0;
   u32 version = 0;
-  read_exact(&magic, sizeof(magic), "magic");
+  take(&magic, sizeof(magic), "magic");
   if (magic != kMagic) {
     throw SimError("snapshot: bad magic (not a HULK-V snapshot file)");
   }
-  read_exact(&version, sizeof(version), "format version");
+  take(&version, sizeof(version), "format version");
   if (version != kFormatVersion) {
     throw SimError("snapshot: unsupported format version " +
                    std::to_string(version) + " (this build reads version " +
                    std::to_string(kFormatVersion) + ")");
   }
 
-  u64 checksum = kFnvOffset;
-  bool saw_end = false;
-  while (!saw_end) {
+  const u64 body_start = pos;
+  for (;;) {
+    const u64 header_pos = pos;
     SectionHeader header;
-    read_exact(&header.id, sizeof(header.id), "section header");
-    read_exact(&header.length, sizeof(header.length), "section header");
+    take(&header.id, sizeof(header.id), "section header");
+    take(&header.length, sizeof(header.length), "section header");
     if (header.id == kEndMarker) {
       if (header.length != sizeof(u64)) {
         throw SimError("snapshot: malformed end section");
       }
-      u64 stored = 0;
-      read_exact(&stored, sizeof(stored), "checksum");
-      if (stored != checksum) {
-        throw SimError("snapshot: checksum mismatch (corrupted file)");
-      }
-      saw_end = true;
-      continue;
+      take(&stored_checksum_, sizeof(stored_checksum_), "checksum");
+      checksummed_ = data + body_start;
+      checksummed_size_ = header_pos - body_start;
+      return;
     }
-    checksum = fnv1a(checksum, &header.id, sizeof(header.id));
-    checksum = fnv1a(checksum, &header.length, sizeof(header.length));
-    std::vector<u8> payload(header.length);
-    if (header.length != 0) {
-      read_exact(payload.data(), header.length, section_name(header.id));
-      checksum = fnv1a(checksum, payload.data(), payload.size());
+    if (header.length > size - pos) {
+      throw SimError(std::string("snapshot: truncated file while reading ") +
+                     section_name(header.id) + " (section claims " +
+                     std::to_string(header.length) + " bytes, " +
+                     std::to_string(size - pos) + " left)");
     }
-    if (sections_.count(header.id) != 0) {
+    if (find(header.id) != nullptr) {
       throw SimError(std::string("snapshot: duplicate section ") +
                      section_name(header.id));
     }
-    ids_.push_back(header.id);
-    sections_.emplace(header.id, std::move(payload));
+    sections_.push_back({header.id, data + pos, header.length});
+    pos += header.length;
   }
+}
+
+void Reader::verify_checksum() const {
+  if (fnv1a(kFnvOffset, checksummed_, checksummed_size_) != stored_checksum_) {
+    throw SimError("snapshot: checksum mismatch (corrupted file)");
+  }
+}
+
+const Reader::Section* Reader::find(u32 id) const {
+  for (const Section& s : sections_) {
+    if (s.id == id) return &s;
+  }
+  return nullptr;
 }
 
 void Reader::section(u32 id,
                      const std::function<void(Archive&)>& read) const {
-  const auto it = sections_.find(id);
-  if (it == sections_.end()) {
+  const Section* s = find(id);
+  if (s == nullptr) {
     throw SimError(std::string("snapshot: missing section ") +
                    section_name(id));
   }
-  const std::vector<u8>& payload = it->second;
-  Archive ar = Archive::loader(payload.data(), payload.size());
+  Archive ar = Archive::loader(s->data, s->size);
   read(ar);
   if (ar.remaining() != 0) {
     throw SimError(std::string("snapshot: section ") + section_name(id) +

@@ -9,7 +9,10 @@
 //
 // The checksum covers every byte after the 8-byte header up to (but not
 // including) the end section, so truncation and corruption are both
-// detected with a clear error. Section ids/lengths let readers skip
+// detected with a clear error. It is checked where bytes enter the
+// process (HulkVSoc::restore(std::istream&)); a batch::SocSnapshot holds
+// only bytes its own Writer checksummed, so its restores do not re-hash
+// them (DESIGN.md §11.1). Section ids/lengths let readers skip
 // sections they do not understand — a newer writer can add sections
 // without breaking an older reader of the same format version.
 //
@@ -21,7 +24,6 @@
 
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <vector>
 
 #include "snapshot/archive.hpp"
@@ -82,27 +84,44 @@ class Writer {
   bool finished_ = false;
 };
 
-/// Parses a whole snapshot up front (header, section index, checksum)
-/// and hands section payloads to components on demand. Throws SimError
-/// with a specific message on bad magic, version mismatch, truncation
-/// and checksum failure. Unknown section ids are retained but ignored.
+/// Indexes a snapshot held in memory: header, section spans and the
+/// checksum trailer. No payload is copied — sections are spans over
+/// the caller's bytes, which must outlive the reader — and every
+/// section length is checked against the bytes left before it is used.
+/// Throws SimError with a specific message on bad magic, version
+/// mismatch, truncation, a duplicate section or a malformed trailer.
+/// Construction does not hash: verify_checksum() checks the trailer,
+/// and HulkVSoc::restore(std::istream&) calls it for bytes that enter
+/// from outside the process. Unknown section ids are indexed but
+/// ignored.
 class Reader {
  public:
-  explicit Reader(std::istream& is);
+  Reader(const u8* data, u64 size);
 
-  bool has(u32 id) const { return sections_.count(id) != 0; }
+  /// Recompute the FNV-1a checksum over the sections and compare it
+  /// with the trailer; throws SimError("... checksum mismatch ...").
+  void verify_checksum() const;
+
+  bool has(u32 id) const { return find(id) != nullptr; }
 
   /// Consume section `id` with `read` (an Archive in kLoad mode). The
   /// reader insists the payload is consumed exactly — a partial read
   /// means the writer and reader traversals disagree.
   void section(u32 id, const std::function<void(Archive&)>& read) const;
 
-  /// Ids present in the file, in file order.
-  const std::vector<u32>& ids() const { return ids_; }
-
  private:
-  std::map<u32, std::vector<u8>> sections_;
-  std::vector<u32> ids_;
+  struct Section {
+    u32 id = 0;
+    const u8* data = nullptr;
+    u64 size = 0;
+  };
+
+  const Section* find(u32 id) const;
+
+  std::vector<Section> sections_;  // file order
+  const u8* checksummed_ = nullptr;  // after the header, up to the trailer
+  u64 checksummed_size_ = 0;
+  u64 stored_checksum_ = 0;
 };
 
 /// Human-readable name of a section id (error messages, tooling).

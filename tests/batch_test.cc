@@ -8,6 +8,7 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "batch/batch.hpp"
@@ -135,6 +136,32 @@ TEST(SweepEngine, MapForkedMatchesSerialContinuation) {
   for (u64 i = 0; i < forked.size(); ++i) {
     EXPECT_EQ(forked[i], reference) << "fork " << i;
   }
+}
+
+TEST(SocSnapshot, ConcurrentRestoresMatchSourceDigest) {
+  // Serve workers fork from one warm snapshot at once: each restore
+  // reads the shared bytes in place. Under -DHULKV_SANITIZE=thread this
+  // is the TSan gate for that span reader (scripts/ci.sh).
+  core::SocConfig cfg;
+  core::HulkVSoc source(cfg);
+  const std::array<u64, 1> args = {core::layout::kSharedBase};
+  kernels::run_host_program(
+      source, kernels::host_stride_reads(64, 128, 2).words, args);
+  const batch::SocSnapshot snap = batch::SocSnapshot::capture(source);
+  const u64 want = source.state_digest();
+
+  constexpr u32 kThreads = 4;
+  std::array<u64, kThreads> got{};
+  std::vector<std::thread> threads;
+  for (u32 t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      core::HulkVSoc soc(cfg);
+      snap.restore_into(soc);
+      got[t] = soc.state_digest();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (u32 t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want) << "thread " << t;
 }
 
 TEST(MergeReports, KeepsIndexOrder) {

@@ -269,15 +269,38 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ExampleCli, OffloadMatmulUsageErrorsExitTwoWithMessage) {
   const std::string binary =
       std::string(HULKV_EXAMPLES_DIR) + "/offload_matmul";
+  // It runs no sweep, so --jobs is not one of its flags.
   // (arguments, flag the message must name)
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"--jobs abc", "--jobs"},
+      {"--jobs 2", "--jobs"},
       {"--bogus", "--bogus"},
   };
   for (const auto& [args, names] : cases) {
     const Outcome o = run_binary(binary, args);
     EXPECT_EQ(o.rc, 2) << args << "\n" << o.err;
     EXPECT_NE(o.err.find(names), std::string::npos) << args << "\n" << o.err;
+  }
+}
+
+TEST(ExampleCli, OffloadMatmulListedFlagsWriteTheirFiles) {
+  const std::string binary =
+      std::string(HULKV_EXAMPLES_DIR) + "/offload_matmul";
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  // (arguments, files they must write)
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      cases = {
+          {"--profile=" + dir.path + "/p", {"p.folded", "p.annotated.txt"}},
+          {"--json " + dir.path + "/j.json", {"j.json"}},
+          {"--telemetry=" + dir.path, {"offload_matmul.jsonl"}},
+      };
+  for (const auto& [args, files] : cases) {
+    const Outcome o = run_binary(binary, args);
+    EXPECT_EQ(o.rc, 0) << args << "\n" << o.err;
+    for (const std::string& file : files) {
+      EXPECT_TRUE(dir.has(file)) << args << " did not write " << file;
+    }
   }
 }
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -103,6 +105,39 @@ TEST(Archive, LoaderThrowsOnTruncation) {
   EXPECT_THROW(ar.pod(v), SimError);
 }
 
+TEST(Archive, CountBeyondBytesLeftIsTruncation) {
+  // A count of 2^40 with 8 bytes behind it: every container visitor
+  // must refuse it before sizing anything.
+  std::vector<u8> bytes(16, 0);
+  const u64 huge = u64{1} << 40;
+  std::memcpy(bytes.data(), &huge, sizeof(huge));
+  const auto expect_truncated =
+      [&](const std::function<void(snapshot::Archive&)>& visit) {
+        snapshot::Archive ar =
+            snapshot::Archive::loader(bytes.data(), bytes.size());
+        try {
+          visit(ar);
+          ADD_FAILURE() << "loader accepted a count of 2^40";
+        } catch (const SimError& e) {
+          EXPECT_NE(std::string(e.what()).find("truncated"),
+                    std::string::npos)
+              << e.what();
+        }
+      };
+  expect_truncated([](snapshot::Archive& ar) {
+    std::string s;
+    ar.str(s);
+  });
+  expect_truncated([](snapshot::Archive& ar) {
+    std::vector<u32> v;
+    ar.pod_vec(v);
+  });
+  expect_truncated([](snapshot::Archive& ar) {
+    std::vector<bool> v;
+    ar.bool_vec(v);
+  });
+}
+
 TEST(Archive, HashDistinguishesValues) {
   const auto digest = [](u64 value) {
     snapshot::Archive ar = snapshot::Archive::hasher();
@@ -125,8 +160,9 @@ TEST(SnapshotContainer, WriterReaderRoundTrip) {
     });
     w.finish();
   }
-  std::istringstream is(os.str(), std::ios::binary);
-  snapshot::Reader r(is);
+  const std::string blob = os.str();
+  const snapshot::Reader r(reinterpret_cast<const u8*>(blob.data()),
+                           blob.size());
   ASSERT_TRUE(r.has(snapshot::kMeta));
   u64 v = 0;
   r.section(snapshot::kMeta, [&](snapshot::Archive& ar) { ar.pod(v); });
@@ -150,8 +186,9 @@ TEST(SnapshotContainer, UnknownSectionsAreSkippable) {
     });
     w.finish();
   }
-  std::istringstream is(os.str(), std::ios::binary);
-  snapshot::Reader r(is);
+  const std::string blob = os.str();
+  const snapshot::Reader r(reinterpret_cast<const u8*>(blob.data()),
+                           blob.size());
   EXPECT_TRUE(r.has(kFutureId));
   u64 v = 0;
   r.section(snapshot::kMeta, [&](snapshot::Archive& ar) { ar.pod(v); });
@@ -169,8 +206,9 @@ TEST(SnapshotContainer, PartiallyConsumedSectionIsAnError) {
     });
     w.finish();
   }
-  std::istringstream is(os.str(), std::ios::binary);
-  snapshot::Reader r(is);
+  const std::string blob = os.str();
+  const snapshot::Reader r(reinterpret_cast<const u8*>(blob.data()),
+                           blob.size());
   u64 a = 0;
   EXPECT_THROW(
       r.section(snapshot::kMeta,
@@ -199,6 +237,40 @@ void expect_restore_error(const std::string& bytes,
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "actual error: " << e.what();
   }
+}
+
+/// Where a section sits in a saved blob (found by walking the section
+/// headers after the 8-byte file header).
+struct RawSection {
+  size_t header = 0;   // offset of the u32 id
+  size_t payload = 0;  // offset of the first payload byte
+  u64 length = 0;
+};
+
+RawSection raw_section(const std::string& blob, u32 id) {
+  size_t pos = 8;
+  while (pos + 12 <= blob.size()) {
+    RawSection s;
+    u32 sid = 0;
+    std::memcpy(&sid, blob.data() + pos, sizeof(sid));
+    std::memcpy(&s.length, blob.data() + pos + 4, sizeof(s.length));
+    s.header = pos;
+    s.payload = pos + 12;
+    if (sid == id) return s;
+    if (sid == snapshot::kEndMarker) break;
+    pos = s.payload + s.length;
+  }
+  ADD_FAILURE() << "no section " << id << " in the blob";
+  return {};
+}
+
+/// Recompute the checksum trailer of a blob edited in place, so that
+/// only the edit itself can make restore fail.
+void reseal(std::string& blob) {
+  const RawSection end = raw_section(blob, snapshot::kEndMarker);
+  const u64 sum =
+      snapshot::fnv1a(snapshot::kFnvOffset, blob.data() + 8, end.header - 8);
+  std::memcpy(blob.data() + end.payload, &sum, sizeof(sum));
 }
 
 TEST(SnapshotErrors, BadMagicRejected) {
@@ -237,6 +309,71 @@ TEST(SnapshotErrors, ConfigMismatchRejected) {
   // Restore into the default (LLC-enabled) config must be refused via
   // the kMeta fingerprint before any component state is touched.
   expect_restore_error(saved_soc_bytes(soc), "configuration mismatch");
+}
+
+TEST(SnapshotErrors, SectionLengthBeyondFileRejected) {
+  // 20 bytes: the header and one section header claiming 2^40 payload
+  // bytes. The claim is checked against the bytes left, never allocated.
+  std::string bytes(20, '\0');
+  const u32 magic = snapshot::kMagic;
+  const u32 version = snapshot::kFormatVersion;
+  const u32 id = snapshot::kMeta;
+  const u64 length = u64{1} << 40;
+  std::memcpy(bytes.data(), &magic, sizeof(magic));
+  std::memcpy(bytes.data() + 4, &version, sizeof(version));
+  std::memcpy(bytes.data() + 8, &id, sizeof(id));
+  std::memcpy(bytes.data() + 12, &length, sizeof(length));
+  expect_restore_error(bytes, "truncated");
+}
+
+TEST(SnapshotErrors, StringLengthBeyondSectionRejected) {
+  // The uart section is one length-prefixed string; claim 2^40 chars
+  // under a valid checksum.
+  core::HulkVSoc soc;
+  std::string bytes = saved_soc_bytes(soc);
+  const RawSection uart = raw_section(bytes, snapshot::kUart);
+  const u64 huge = u64{1} << 40;
+  std::memcpy(bytes.data() + uart.payload, &huge, sizeof(huge));
+  reseal(bytes);
+  expect_restore_error(bytes, "truncated");
+}
+
+TEST(SnapshotErrors, TcdmBankTableSizeMismatchRejected) {
+  // A cluster section whose TCDM bank table holds 1 entry instead of
+  // the configured 16, under a valid checksum: an access to bank 15
+  // would index past the table.
+  core::HulkVSoc soc;
+  std::string bytes = saved_soc_bytes(soc);
+  cluster::Tcdm& tcdm = soc.cluster().tcdm();
+  std::vector<u8> own;
+  snapshot::Archive ar = snapshot::Archive::saver(&own);
+  tcdm.serialize(ar);
+  // The TCDM's traversal is its storage, then the bank table and the
+  // rest: find the tail, and check that the storage precedes it.
+  const size_t storage = tcdm.storage().size();
+  const std::string mine(own.begin(), own.end());
+  const std::string tail = mine.substr(storage);
+  const RawSection cluster = raw_section(bytes, snapshot::kCluster);
+  size_t table = std::string::npos;
+  for (size_t at = bytes.find(tail, cluster.payload + storage);
+       at != std::string::npos; at = bytes.find(tail, at + 1)) {
+    if (bytes.compare(at - storage, storage, mine, 0, storage) == 0) {
+      table = at;
+      break;
+    }
+  }
+  ASSERT_NE(table, std::string::npos);
+  u64 banks = 0;
+  std::memcpy(&banks, bytes.data() + table, sizeof(banks));
+  ASSERT_EQ(banks, soc.config().cluster.tcdm.num_banks);
+  // Keep the count (now 1) and entry 0; drop entries 1..15.
+  const u64 one = 1;
+  std::memcpy(bytes.data() + table, &one, sizeof(one));
+  bytes.erase(table + 2 * sizeof(u64), (banks - 1) * sizeof(u64));
+  const u64 length = cluster.length - (banks - 1) * sizeof(u64);
+  std::memcpy(bytes.data() + cluster.header + 4, &length, sizeof(length));
+  reseal(bytes);
+  expect_restore_error(bytes, "tcdm bank table");
 }
 
 // ------------------------------------------------------------ reset/fresh
