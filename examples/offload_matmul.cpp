@@ -5,8 +5,8 @@
 //
 // Flags: `--trace out.json` records the full SoC event trace and writes
 // a Perfetto/Chrome-loadable file (chrome://tracing or ui.perfetto.dev);
-// `--profile[=PATH]`, `--json PATH` and `--telemetry[=DIR]` work as on
-// the figure benches. It runs no sweep, so it has no `--jobs`.
+// `--profile[=PATH]`, `--json PATH`, `--telemetry[=DIR]` and `--jobs`
+// work as on the figure benches that run one point.
 #include <cstdio>
 #include <vector>
 
@@ -26,8 +26,8 @@
 using namespace hulkv;
 
 int main(int argc, char** argv) {
-  const report::BenchOptions options = report::bench_args_or_exit(
-      argc, argv, {.writes_trace = true, .sweeps = false});
+  const report::BenchOptions options =
+      report::bench_args_or_exit(argc, argv, {.writes_trace = true});
   profile::configure(options);
   telemetry::configure(options);
   if (!options.trace_path.empty()) trace::sink().enable();

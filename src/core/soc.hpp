@@ -32,6 +32,10 @@
 #include "mem/udma.hpp"
 #include "snapshot/snapshot.hpp"
 
+namespace hulkv::batch {
+class SocSnapshot;
+}  // namespace hulkv::batch
+
 namespace hulkv::core {
 
 /// Which external-memory device backs the 0x8000_0000 window.
@@ -143,13 +147,6 @@ class HulkVSoc {
   /// bytes enter from outside the process.
   void restore(std::istream& is, const SectionReaderFn& extra = nullptr);
 
-  /// Restore from a snapshot already indexed in memory, without
-  /// re-hashing it: the caller vouches that the bytes are the ones a
-  /// Writer checksummed (batch::SocSnapshot holds only bytes its own
-  /// capture() wrote).
-  void restore(const snapshot::Reader& reader,
-               const SectionReaderFn& extra = nullptr);
-
   /// FNV-1a digest over the same traversal save() uses — a cheap
   /// whole-SoC state-equality check.
   u64 state_digest();
@@ -174,6 +171,13 @@ class HulkVSoc {
   void visit_sections(
       const std::function<void(u32, const std::function<void(snapshot::Archive&)>&)>&
           visit);
+
+  /// Restore from a snapshot already indexed in memory, without
+  /// re-hashing it. Only batch::SocSnapshot reaches it, and it holds
+  /// only bytes that its own capture() wrote, whose Writer computed the
+  /// trailer over exactly those bytes.
+  friend class batch::SocSnapshot;
+  void restore(const snapshot::Reader& reader, const SectionReaderFn& extra);
 
   /// The kMeta check, every visit_sections() section, then `extra`.
   void restore_sections(const snapshot::Reader& reader,

@@ -263,7 +263,7 @@ BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli) {
   std::string program = argc > 0 ? argv[0] : "bench";
   program = program.substr(program.find_last_of('/') + 1);
   BenchOptions options;
-  cli::Parser parser = bench_flag_parser(program, &options, cli.sweeps);
+  cli::Parser parser = bench_flag_parser(program, &options);
   const std::string error = [&]() -> std::string {
     if (!parser.parse(argc, argv,
                       cli.passes_unknown ? cli::Parser::OnUnknown::kIgnore
@@ -292,18 +292,15 @@ BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli) {
 }
 
 cli::Parser bench_flag_parser(const std::string& program,
-                              BenchOptions* options, bool with_jobs) {
+                              BenchOptions* options) {
   cli::Parser parser(program);
   parser
       .add_string("--json", &options->json_path,
                   "write the report as BENCH-style JSON to this path")
       .add_string("--trace", &options->trace_path,
-                  "write a Perfetto/Chrome event trace to this path");
-  if (with_jobs) {
-    parser.add_u32("--jobs", &options->jobs,
-                   "sweep worker count (0 = hardware concurrency)");
-  }
-  parser
+                  "write a Perfetto/Chrome event trace to this path")
+      .add_u32("--jobs", &options->jobs,
+               "sweep worker count (0 = hardware concurrency)")
       .add_optional_value("--profile", &options->profile,
                           &options->profile_path,
                           "cycle-attribution profiler (=PATH writes "

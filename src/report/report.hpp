@@ -150,9 +150,6 @@ struct BenchCli {
   /// Unknown flags belong to a wrapped tool (simperf's
   /// google-benchmark) instead of being usage errors.
   bool passes_unknown = false;
-  /// Runs a sweep, so --jobs applies. A binary that runs none has no
-  /// --jobs flag: there it is an unknown flag.
-  bool sweeps = true;
 };
 
 /// A bench main()'s command line. A usage error — malformed value,
@@ -168,10 +165,9 @@ BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli = {});
 /// binaries (the serve daemon, the load generator) can stack their own
 /// flags on the same table instead of re-spelling --jobs/--json/
 /// --telemetry/--profile. parse_bench_args() is exactly this
-/// parser run with unknown flags ignored. Without `with_jobs` the
-/// table has no --jobs (a binary that runs no sweep).
+/// parser run with unknown flags ignored.
 cli::Parser bench_flag_parser(const std::string& program,
-                              BenchOptions* options, bool with_jobs = true);
+                              BenchOptions* options);
 
 /// Emit the report: print text to stdout and, when --json was given,
 /// write the JSON file (and note where it went).

@@ -140,8 +140,8 @@ TEST(SweepEngine, MapForkedMatchesSerialContinuation) {
 
 TEST(SocSnapshot, ConcurrentRestoresMatchSourceDigest) {
   // Serve workers fork from one warm snapshot at once: each restore
-  // reads the shared bytes in place. Under -DHULKV_SANITIZE=thread this
-  // is the TSan gate for that span reader (scripts/ci.sh).
+  // reads the shared bytes in place, and every fork must land on the
+  // source's exact state.
   core::SocConfig cfg;
   core::HulkVSoc source(cfg);
   const std::array<u64, 1> args = {core::layout::kSharedBase};

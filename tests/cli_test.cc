@@ -269,12 +269,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ExampleCli, OffloadMatmulUsageErrorsExitTwoWithMessage) {
   const std::string binary =
       std::string(HULKV_EXAMPLES_DIR) + "/offload_matmul";
-  // It runs no sweep, so --jobs is not one of its flags.
-  // (arguments, flag the message must name)
+  // (arguments, text the message must name)
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"--jobs abc", "--jobs"},
-      {"--jobs 2", "--jobs"},
       {"--bogus", "--bogus"},
+      {"--profile --jobs 2", "--jobs 1"},
   };
   for (const auto& [args, names] : cases) {
     const Outcome o = run_binary(binary, args);
@@ -292,7 +291,7 @@ TEST(ExampleCli, OffloadMatmulListedFlagsWriteTheirFiles) {
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       cases = {
           {"--profile=" + dir.path + "/p", {"p.folded", "p.annotated.txt"}},
-          {"--json " + dir.path + "/j.json", {"j.json"}},
+          {"--jobs 2 --json " + dir.path + "/j.json", {"j.json"}},
           {"--telemetry=" + dir.path, {"offload_matmul.jsonl"}},
       };
   for (const auto& [args, files] : cases) {
