@@ -11,7 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
 #include "batch/batch.hpp"
 #include "cluster/cluster.hpp"
 #include "core/soc.hpp"
@@ -59,17 +58,6 @@ void BM_HostIssLoop(benchmark::State& state) {
   const std::vector<u32> words = a.assemble();
   soc.load_program(core::layout::kHostCodeBase, words);
 
-  // Attach the analyzer's block facts like run_host_program would
-  // (this bench bypasses the load path), so the run also measures the
-  // fact-provider hook on the translate path.
-  analysis::Options aopt;
-  aopt.base = core::layout::kHostCodeBase;
-  aopt.profile = analysis::IsaProfile::kHostRv64;
-  aopt.pic = false;
-  analysis::attach_facts(soc.host().decode_blocks(),
-                         core::layout::kHostCodeBase,
-                         analysis::analyze_program(words, aopt).facts);
-
   u64 instructions = 0;
   for (auto _ : state) {
     soc.host().set_pc(core::layout::kHostCodeBase);
@@ -78,13 +66,6 @@ void BM_HostIssLoop(benchmark::State& state) {
   }
   state.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
-  // Decoded blocks covered by proven facts / proven run-ahead eligible
-  // (translate-time counts: blocks are memoized, so these are small and
-  // exact, not per-iteration).
-  state.counters["fact_blocks"] = static_cast<double>(
-      soc.host().decode_blocks().fact_proven_blocks());
-  state.counters["eligible_blocks"] = static_cast<double>(
-      soc.host().decode_blocks().fact_eligible_blocks());
 }
 
 BENCHMARK(BM_HostIssLoop)->Unit(benchmark::kMillisecond);
@@ -142,18 +123,6 @@ void BM_ClusterIssLoop(benchmark::State& state) {
   const std::vector<u32> words = a.assemble();
   soc.load_program(mem::map::kL2Base, words);
 
-  // Attach block facts to every core's decode cache, as the offload
-  // runtime does for registered kernels (this bench calls run_kernel
-  // directly). The kernel is pure ALU + a proven-exit ecall, so its
-  // blocks come out run-ahead eligible.
-  analysis::Options aopt;
-  aopt.profile = analysis::IsaProfile::kClusterRv32;
-  const auto facts = analysis::analyze_program(words, aopt).facts;
-  for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
-    analysis::attach_facts(soc.cluster().core(c).decode_blocks(),
-                           mem::map::kL2Base, facts);
-  }
-
   u64 instructions = 0;
   Cycles start = 0;
   for (auto _ : state) {
@@ -164,14 +133,6 @@ void BM_ClusterIssLoop(benchmark::State& state) {
   }
   state.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
-  u64 proven = 0, eligible = 0;
-  for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
-    proven += soc.cluster().core(c).decode_blocks().fact_proven_blocks();
-    eligible +=
-        soc.cluster().core(c).decode_blocks().fact_eligible_blocks();
-  }
-  state.counters["fact_blocks"] = static_cast<double>(proven);
-  state.counters["eligible_blocks"] = static_cast<double>(eligible);
 }
 
 BENCHMARK(BM_ClusterIssLoop)->Unit(benchmark::kMillisecond);

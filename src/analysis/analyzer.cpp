@@ -580,17 +580,14 @@ Analysis analyze_program(std::span<const u32> words,
   result.report.blocks = static_cast<u32>(cfg.blocks.size());
   result.report.hw_loops = static_cast<u32>(cfg.loops.size());
 
-  auto facts = std::make_shared<FactsTable>();
-  facts->base = options.base;
-  facts->words.assign(words.begin(), words.end());
-  facts->instr_facts.assign(cfg.program.instrs.size(), 0);
-  facts->blocks.assign(cfg.blocks.size(), BlockFacts{});
+  FactsTable& facts = result.facts;
+  facts.instr_facts.assign(cfg.program.instrs.size(), 0);
+  facts.blocks.assign(cfg.blocks.size(), BlockFacts{});
   if (!cfg.blocks.empty()) {
-    Analyzer analyzer(cfg, options, sink, *facts);
+    Analyzer analyzer(cfg, options, sink, facts);
     analyzer.run();
-    facts->functions = build_callgraph(cfg, *facts);
+    facts.functions = build_callgraph(cfg, facts);
   }
-  result.facts = std::move(facts);
 
   std::stable_sort(result.report.diagnostics.begin(),
                    result.report.diagnostics.end(),

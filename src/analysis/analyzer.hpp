@@ -8,14 +8,12 @@
 // memory checks of the resulting address ranges against the SoC memory
 // map and the IOPMP grant windows. Alongside the diagnostic report it
 // exports a FactsTable (facts.hpp) of proven per-instruction, per-block
-// and per-function properties, which the load paths attach to the
-// executing core's decode cache. The load paths
+// and per-function properties, which hulkv-analyze prints. The load paths
 // (OffloadRuntime::register_kernel, kernels::run_host_program) call it
 // before any instruction executes and reject images whose report
 // contains errors under the configured policy.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -77,12 +75,12 @@ constexpr u64 reg_mask(std::initializer_list<u8> slots) {
 /// Diagnostics plus the proven facts of one analyzed image.
 struct Analysis {
   Report report;
-  /// Never null after analyze_program (empty tables for empty images).
-  std::shared_ptr<const FactsTable> facts;
+  /// Empty tables for an empty image.
+  FactsTable facts;
 };
 
 /// Run every pass over the image: the diagnostic report plus the
-/// BlockFacts/function-summary table the simulators consume.
+/// BlockFacts/function-summary table.
 Analysis analyze_program(std::span<const u32> words, const Options& options);
 
 /// Diagnostics only (the facts table is discarded).

@@ -1,8 +1,5 @@
 #include "analysis/facts.hpp"
 
-#include <algorithm>
-#include <utility>
-
 namespace hulkv::analysis {
 
 namespace {
@@ -47,79 +44,6 @@ u32 FactsTable::core_local_ecalls() const {
     if ((f & kFactCoreLocalEcall) != 0) ++n;
   }
   return n;
-}
-
-bool FactsTable::query_range(Addr start, const isa::Instr* instrs,
-                             size_t count, isa::RunAheadFacts* out) const {
-  if (count == 0 || start < base || (start - base) % 4 != 0) return false;
-  const size_t first = static_cast<size_t>((start - base) / 4);
-  if (first + count > words.size()) return false;
-  isa::RunAheadFacts facts;
-  facts.eligible = true;
-  for (size_t i = 0; i < count; ++i) {
-    // The image may have been rewritten since analysis (the decode
-    // caches only invalidate on explicit load notifications, and facts
-    // share that contract) — a mismatch degrades to "unproven".
-    if (instrs[i].raw != words[first + i]) return false;
-    const u8 f = instr_facts[first + i];
-    if ((f & kFactMemAccess) != 0 || (f & kFactOrdered) != 0) {
-      facts.eligible = false;
-    }
-    if ((f & kFactCoreLocalEcall) != 0 && i < 64) {
-      facts.clear_mask |= u64{1} << i;
-    }
-  }
-  facts.min_cycles = static_cast<u32>(count);
-  *out = facts;
-  return true;
-}
-
-void FactsRegistry::register_image(Addr load_base,
-                                   std::shared_ptr<const FactsTable> table) {
-  const Addr lo = load_base;
-  const Addr hi = load_base + table->bytes();
-  std::erase_if(entries_, [&](const Entry& e) {
-    const Addr elo = e.load_base;
-    const Addr ehi = e.load_base + e.table->bytes();
-    return lo < ehi && elo < hi;
-  });
-  entries_.push_back({load_base, std::move(table)});
-}
-
-const FactsTable* FactsRegistry::find(Addr pc, Addr* image_base) const {
-  for (const Entry& e : entries_) {
-    if (pc >= e.load_base && pc < e.load_base + e.table->bytes()) {
-      *image_base = e.load_base;
-      return e.table.get();
-    }
-  }
-  return nullptr;
-}
-
-void attach_facts(isa::BlockCache& cache, Addr load_base,
-                  std::shared_ptr<const FactsTable> table) {
-  cache.set_fact_provider(
-      [load_base, table = std::move(table)](
-          Addr start, const isa::Instr* instrs, size_t count,
-          isa::RunAheadFacts* out) {
-        if (start < load_base) return false;
-        return table->query_range(table->base + (start - load_base),
-                                  instrs, count, out);
-      });
-}
-
-void attach_registry(isa::BlockCache& cache,
-                     std::shared_ptr<const FactsRegistry> registry) {
-  cache.set_fact_provider(
-      [registry = std::move(registry)](Addr start, const isa::Instr* instrs,
-                                       size_t count,
-                                       isa::RunAheadFacts* out) {
-        Addr image_base = 0;
-        const FactsTable* table = registry->find(start, &image_base);
-        if (table == nullptr) return false;
-        return table->query_range(table->base + (start - image_base),
-                                  instrs, count, out);
-      });
 }
 
 }  // namespace hulkv::analysis

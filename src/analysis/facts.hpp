@@ -1,34 +1,20 @@
 // Block-facts table: the analyzer's proven per-instruction and
-// per-block properties, exported with the assembled image and consumed
-// by the simulators (DESIGN.md §13).
+// per-block properties, exported with the diagnostic report
+// (DESIGN.md §13).
 //
 // The analyzer (analyzer.cpp) fills one FactsTable per analyzed image:
 // per-instruction fact flags (may-access-memory, proven-TCDM-local,
 // proven-core-local ecall, ...), per-basic-block summaries (min cycles,
 // purity, memory footprint, run-ahead eligibility) and per-function
-// interprocedural summaries (callgraph.hpp). The load paths attach the
-// table to the executing core's isa::BlockCache through a FactProvider
-// closure: at block-translate time the cache asks the table for the
-// decoded range's facts, and
-//
-//  * counts blocks proven run-ahead eligible (simperf reports them),
-//  * clears shared_mask bits of ecalls proven core-local, widening the
-//    PR 3 run-ahead without changing timing (the only services ever
-//    proven core-local — cluster kExit/kCoreCount — touch no shared
-//    timing model; see DESIGN.md §13 for the argument).
-//
-// Facts address decoded blocks by *image offset*, so the same table
-// serves a kernel loaded at any L2 address. query_range() re-verifies
-// the decoded words against the analyzed image, which makes stale
-// facts (self-modifying code) degrade to "unproven" instead of wrong.
+// interprocedural summaries (callgraph.hpp). The table is analyzer
+// output only: hulkv-analyze prints it and tests/golden/
+// analyze_corpus.json pins it; no simulator reads it.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "analysis/callgraph.hpp"
 #include "analysis/footprint.hpp"
-#include "isa/block_cache.hpp"
 
 namespace hulkv::analysis {
 
@@ -73,16 +59,9 @@ struct BlockFacts {
 
 class FactsTable {
  public:
-  Addr base = 0;              // analysis base address of the image
-  std::vector<u32> words;     // the analyzed image (SMC verification)
   std::vector<u8> instr_facts;  // InstrFact flags per instruction
   std::vector<BlockFacts> blocks;
   std::vector<FuncSummary> functions;
-
-  u64 bytes() const { return words.size() * 4; }
-  bool contains(Addr addr) const {
-    return addr >= base && addr < base + bytes();
-  }
 
   // ---- summary counts over reachable blocks (report/CI currency) ----
   u32 reachable_blocks() const;
@@ -91,51 +70,6 @@ class FactsTable {
   u32 tcdm_local_blocks() const;    // has accesses, all proven TCDM-local
   u32 eligible_blocks() const;      // run_ahead_eligible
   u32 core_local_ecalls() const;    // instructions with kFactCoreLocalEcall
-
-  /// Facts for the decoded range [start, start + 4*count) at the
-  /// analysis base. Verifies every decoded word against the analyzed
-  /// image and conjoins the per-instruction flags; returns false (no
-  /// facts) on any mismatch or out-of-image range.
-  bool query_range(Addr start, const isa::Instr* instrs, size_t count,
-                   isa::RunAheadFacts* out) const;
 };
-
-/// Table registry for load paths that place several images in one
-/// address space (the offload runtime's L2 kernel images). Attached to
-/// a core's BlockCache once; images register/clear as they are loaded
-/// and evicted.
-class FactsRegistry {
- public:
-  /// Register `table` as loaded at `load_base`, displacing any entry
-  /// overlapping the new image's range.
-  void register_image(Addr load_base,
-                      std::shared_ptr<const FactsTable> table);
-  void clear() { entries_.clear(); }
-
-  /// The table covering `pc`, or nullptr. `*image_base` gets the load
-  /// address of the covering image.
-  const FactsTable* find(Addr pc, Addr* image_base) const;
-
-  size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    Addr load_base = 0;
-    std::shared_ptr<const FactsTable> table;
-  };
-  std::vector<Entry> entries_;
-};
-
-/// Install a FactProvider on `cache` serving `table` for an image
-/// loaded at `load_base` (single-image loaders: run_host_program).
-/// The closure keeps the table alive.
-void attach_facts(isa::BlockCache& cache, Addr load_base,
-                  std::shared_ptr<const FactsTable> table);
-
-/// Install a FactProvider on `cache` consulting `registry` (multi-image
-/// loaders: the offload runtime). The closure keeps the registry alive;
-/// images registered later are visible without re-attaching.
-void attach_registry(isa::BlockCache& cache,
-                     std::shared_ptr<const FactsRegistry> registry);
 
 }  // namespace hulkv::analysis

@@ -917,9 +917,9 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
 // Slice loop. Per-retire state — issue_cycle_, next_pc_, hardware-loop
 // application, pc_ commit — is kept per instruction (all of it is
 // serialized, digest-relevant state). The run-ahead horizon check is
-// driven by lowered flags: kFlagShared mirrors the block's
-// (fact-narrowed) shared_mask bit, and the new-fetch-line condition
-// comes from the line flags plus a dynamic private_hit probe.
+// driven by lowered flags: kFlagShared mirrors the block's shared_mask
+// bit, and the new-fetch-line condition comes from the line flags plus
+// a dynamic private_hit probe.
 //
 // The observed instantiation adds, per retired instruction, the
 // profiler bracket, the set_trace disassembly log and the trace commit

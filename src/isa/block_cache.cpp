@@ -33,11 +33,6 @@ void BlockCache::invalidate() {
   span_hi_ = 0;
 }
 
-void BlockCache::set_fact_provider(FactProvider provider) {
-  fact_provider_ = std::move(provider);
-  invalidate();
-}
-
 void BlockCache::invalidate_range(Addr base, u64 bytes) {
   if (bytes == 0 || span_lo_ >= span_hi_) return;
   const Addr end = base + bytes;
@@ -82,9 +77,6 @@ void BlockCache::translate(DecodedBlock& block, Addr pc) {
   block.start = pc;
   block.instrs.clear();
   block.shared_mask = 0;
-  block.facts_proven = false;
-  block.facts_eligible = false;
-  block.min_cycles = 0;
   Addr p = pc;
   for (size_t i = 0; i < kMaxBlockInstrs; ++i) {
     u32 word = 0;
@@ -102,22 +94,6 @@ void BlockCache::translate(DecodedBlock& block, Addr pc) {
     block.instrs.push_back(instr);
     if (ends_block(instr.op)) break;
     p += 4;
-  }
-  if (fact_provider_ && !block.instrs.empty()) {
-    RunAheadFacts facts;
-    if (fact_provider_(pc, block.instrs.data(), block.instrs.size(),
-                       &facts)) {
-      // The provider's contract (RunAheadFacts): clear_mask bits cover
-      // only instructions proven to touch no cross-core shared timing
-      // state, so widening the run-ahead mask here cannot change any
-      // cycle the multi-core scheduler computes.
-      block.shared_mask &= ~facts.clear_mask;
-      block.facts_proven = true;
-      block.facts_eligible = facts.eligible;
-      block.min_cycles = facts.min_cycles;
-      ++fact_proven_;
-      if (facts.eligible) ++fact_eligible_;
-    }
   }
   block.generation = generation_;
   ++translations_;

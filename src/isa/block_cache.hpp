@@ -50,36 +50,13 @@ struct DecodedBlock {
   /// multi-core scheduler may execute those ahead of its time horizon
   /// without perturbing cross-core resource-reservation order (see
   /// PmcaCore::run_slice). kMaxBlockInstrs == 64 makes this one word.
-  /// A registered fact provider may clear bits it proves core-local
-  /// (see RunAheadFacts) at translate time.
   u64 shared_mask = 0;
-  /// Static facts attached at translate time (false when no provider is
-  /// registered or the provider could not prove the block).
-  bool facts_proven = false;
-  /// Proven free of shared-state instructions over its whole range: a
-  /// run-ahead scheduler never parks inside this block.
-  bool facts_eligible = false;
-  /// Static lower bound on the block's execution cycles (>= 1 cycle per
-  /// instruction); 0 when unproven.
-  u32 min_cycles = 0;
   std::vector<Instr> instrs;
   /// Threaded-code form (DESIGN.md §15), lowered lazily by the owning
   /// core's dispatch loop on first execution of this block and kept in
   /// sync via its own generation tag (stale after an invalidation bump,
   /// re-lowered on next dispatch).
   threaded::ThreadedBlock threaded;
-};
-
-/// Facts a static-analysis provider attaches to a translated block.
-/// The contract (DESIGN.md §13): `clear_mask` bits may only cover
-/// instructions whose execution provably touches no cross-core shared
-/// timing state (so clearing them from shared_mask cannot perturb the
-/// global reservation order), and `eligible` asserts the whole range is
-/// free of shared-state instructions after that widening.
-struct RunAheadFacts {
-  u64 clear_mask = 0;
-  bool eligible = false;
-  u32 min_cycles = 0;
 };
 
 class BlockCache {
@@ -95,15 +72,6 @@ class BlockCache {
   /// block there, and execution falling through re-faults at the real
   /// fetch of that address.
   using ReadWord = std::function<u32(Addr)>;
-
-  /// Static block-facts source, queried once per translation with the
-  /// block's start address and decoded instructions. Returns true and
-  /// fills `out` when the whole range is covered by proven facts (the
-  /// provider must verify the decoded words still match the analyzed
-  /// image — self-modifying code invalidates facts, not just blocks).
-  using FactProvider =
-      std::function<bool(Addr start, const Instr* instrs, size_t count,
-                         RunAheadFacts* out)>;
 
   explicit BlockCache(ReadWord read_word);
 
@@ -126,22 +94,11 @@ class BlockCache {
   /// covered by translated blocks; a write elsewhere is a no-op.
   void invalidate_range(Addr base, u64 bytes);
 
-  /// Install (or replace) the fact provider. Invalidates the cache so
-  /// blocks translated before the provider existed pick up facts on
-  /// their next dispatch. A default-constructed function clears it.
-  void set_fact_provider(FactProvider provider);
-
   u64 generation() const { return generation_; }
   /// Total translations performed (re-translations included) — lets
   /// tests assert that invalidation really dropped (or kept) blocks.
   u64 translations() const { return translations_; }
   size_t cached_blocks() const { return blocks_.size(); }
-  /// Cumulative count of translations the fact provider proved
-  /// (monotonic, like translations()).
-  u64 fact_proven_blocks() const { return fact_proven_; }
-  /// Of those, translations proven run-ahead eligible — the counter the
-  /// simperf ISS rows report.
-  u64 fact_eligible_blocks() const { return fact_eligible_; }
 
   /// True when `op` terminates a straight-line run.
   static bool ends_block(Op op);
@@ -151,13 +108,10 @@ class BlockCache {
   void translate(DecodedBlock& block, Addr pc);
 
   ReadWord read_word_;
-  FactProvider fact_provider_;
   std::unordered_map<Addr, DecodedBlock> blocks_;
   DecodedBlock* last_ = nullptr;  // memo: only ever a current-generation block
   u64 generation_ = 1;
   u64 translations_ = 0;
-  u64 fact_proven_ = 0;
-  u64 fact_eligible_ = 0;
   // Union of [start, end) over translated blocks, for ranged invalidation.
   Addr span_lo_ = ~0ull;
   Addr span_hi_ = 0;

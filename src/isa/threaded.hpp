@@ -40,8 +40,8 @@ inline constexpr u16 kFlagLineEntry = 1u << 1;  // static line crossing
 /// wfi) end their block (BlockCache contract); the others throw, so
 /// execution never continues inside a block past a trap.
 inline constexpr u16 kFlagTrap = 1u << 2;
-/// May touch cross-core shared state (DecodedBlock::shared_mask bit,
-/// post fact-provider widening) — the cluster's run-ahead horizon check.
+/// May touch cross-core shared state (DecodedBlock::shared_mask bit) —
+/// the cluster's run-ahead horizon check.
 inline constexpr u16 kFlagShared = 1u << 3;
 
 /// Generic handler pointer; each core's dispatch loop casts it back to

@@ -126,7 +126,7 @@ std::string render_corpus_text(const std::vector<CorpusResult>& results) {
      << std::setw(6) << "warn" << "\n";
   size_t diags = 0;
   for (const CorpusResult& r : results) {
-    const analysis::FactsTable& f = *r.analysis.facts;
+    const analysis::FactsTable& f = r.analysis.facts;
     const analysis::Report& rep = r.analysis.report;
     os << std::left << std::setw(16) << r.entry.name << std::right
        << std::setw(7) << rep.instructions << std::setw(7) << rep.blocks
@@ -151,7 +151,7 @@ std::string render_corpus_json(const std::vector<CorpusResult>& results) {
   os << "{\n  \"corpus\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CorpusResult& r = results[i];
-    const analysis::FactsTable& f = *r.analysis.facts;
+    const analysis::FactsTable& f = r.analysis.facts;
     const analysis::Report& rep = r.analysis.report;
     os << "    {\n";
     os << "      \"name\": \"" << json_escape(r.entry.name) << "\",\n";

@@ -75,14 +75,14 @@ void prepare_host_program(core::HulkVSoc& soc,
   options.entry_values.emplace_back(
       isa::reg::sp,
       analysis::Interval::constant(core::layout::kHostStackTop - 64, 64));
-  analysis::Analysis analyzed = [&] {
+  const analysis::Report report = [&] {
     const telemetry::Span span(telemetry::SpanPhase::kProgramAnalyze);
-    return analysis::analyze_program(program, options);
+    return analysis::analyze(program, options);
   }();
-  analysis::log_report(analyzed.report, "host-program");
-  if (!analyzed.report.ok()) {
+  analysis::log_report(report, "host-program");
+  if (!report.ok()) {
     throw SimError("host program rejected by static analysis:\n" +
-                   analyzed.report.to_string());
+                   report.to_string());
   }
 
   {
@@ -94,11 +94,6 @@ void prepare_host_program(core::HulkVSoc& soc,
           soc.config_fingerprint());
     }
     soc.load_program(core::layout::kHostCodeBase, program);
-    // Attach the proven facts to the host decode cache at the load base
-    // (counts run-ahead-eligible blocks; clears exit-ecall mask bits).
-    analysis::attach_facts(soc.host().decode_blocks(),
-                           core::layout::kHostCodeBase,
-                           std::move(analyzed.facts));
   }
 
   auto& host = soc.host();

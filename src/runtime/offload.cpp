@@ -17,20 +17,12 @@ constexpr u64 kStackReserve = 8 * 1024;
 
 OffloadRuntime::OffloadRuntime(core::HulkVSoc* soc)
     : soc_(soc),
-      facts_registry_(std::make_shared<analysis::FactsRegistry>()),
       shared_(core::layout::kSharedBase, core::layout::kSharedSize),
       l2_arena_(mem::map::kL2Base, mem::map::kL2Size),
       tcdm_arena_(mem::map::kTcdmBase + kArgBlockBytes,
                   soc->cluster().tcdm().storage().size() - kArgBlockBytes -
                       kStackReserve) {
   HULKV_CHECK(soc != nullptr, "runtime needs a SoC");
-  // Every PMCA core consults the registry at block-translate time;
-  // kernels register their facts as they are lazy-loaded into L2.
-  auto& cluster = soc_->cluster();
-  for (u32 c = 0; c < cluster.num_cores(); ++c) {
-    analysis::attach_registry(cluster.core(c).decode_blocks(),
-                              facts_registry_);
-  }
 }
 
 analysis::Analysis OffloadRuntime::analyze_kernel_program(
@@ -56,28 +48,20 @@ analysis::Analysis OffloadRuntime::analyze_kernel_program(
   return analysis::analyze_program(words, options);
 }
 
-analysis::Report OffloadRuntime::analyze_kernel(
-    const std::vector<u32>& words) const {
-  return analyze_kernel_program(words).report;
-}
-
 KernelHandle OffloadRuntime::register_kernel(
     const std::string& name, const std::vector<u32>& words,
     std::vector<std::pair<std::string, u64>> symbols) {
   HULKV_CHECK(!words.empty(), "registering an empty kernel");
-  std::shared_ptr<const analysis::FactsTable> facts;
   if (analysis_mode_ != AnalysisMode::kOff) {
-    analysis::Analysis result = analyze_kernel_program(words);
-    analysis::log_report(result.report, name);
-    if (analysis_mode_ == AnalysisMode::kReject && !result.report.ok()) {
+    const analysis::Report report = analyze_kernel_program(words).report;
+    analysis::log_report(report, name);
+    if (analysis_mode_ == AnalysisMode::kReject && !report.ok()) {
       throw SimError("kernel '" + name + "' rejected by static analysis:\n" +
-                     result.report.to_string());
+                     report.to_string());
     }
-    facts = std::move(result.facts);
   }
   Image image;
   image.name = name;
-  image.facts = std::move(facts);
   image.bytes = static_cast<u32>(words.size() * 4);
   image.symbols = std::move(symbols);
   image.dram_addr = shared_.arena().alloc(image.bytes, 64);
@@ -108,11 +92,6 @@ Cycles OffloadRuntime::load_code(Image& image) {
   }
   host.advance_to(t);
   soc_->cluster().on_code_loaded(image.l2_addr, image.bytes);
-  // The analysis facts follow the image to its L2 home; the per-core
-  // decode caches pick them up on the next (post-invalidate) translate.
-  if (image.facts != nullptr) {
-    facts_registry_->register_image(image.l2_addr, image.facts);
-  }
   // Tell the profiler where this image now lives; re-registration after
   // an evict_all() displaces whatever previously occupied the range.
   profile::session().register_symbols(image.l2_addr, image.bytes,
@@ -136,7 +115,6 @@ void OffloadRuntime::preload(KernelHandle kernel) {
 void OffloadRuntime::evict_all() {
   for (Image& image : images_) image.l2_addr = 0;
   l2_arena_.reset();
-  facts_registry_->clear();
 }
 
 OffloadRuntime::OffloadResult OffloadRuntime::offload(
@@ -290,17 +268,6 @@ void OffloadRuntime::serialize(snapshot::Archive& ar) {
     ar.pod(image.bytes);
     if (ar.loading()) names_[i] = image.name;
   }
-  if (ar.loading()) {
-    // Rebuild the facts registry against the restored L2 placement.
-    // Tables survive only for images this runtime instance analyzed
-    // (facts are host-side metadata); anything else runs unproven.
-    facts_registry_->clear();
-    for (const Image& image : images_) {
-      if (image.l2_addr != 0 && image.facts != nullptr) {
-        facts_registry_->register_image(image.l2_addr, image.facts);
-      }
-    }
-  }
 }
 
 void OffloadRuntime::reset() {
@@ -309,7 +276,6 @@ void OffloadRuntime::reset() {
   tcdm_arena_.reset();
   images_.clear();
   names_.clear();
-  facts_registry_->clear();
 }
 
 }  // namespace hulkv::runtime

@@ -64,21 +64,11 @@ class OffloadRuntime {
     analysis_policy_ = policy;
   }
 
-  /// Analyze a kernel image exactly as register_kernel would, without
-  /// registering it.
-  analysis::Report analyze_kernel(const std::vector<u32>& words) const;
-
   /// Full analysis (report + facts table) under the runtime's kernel
   /// calling convention: a0 = argument block, sp in the per-core TCDM
   /// stack window.
   analysis::Analysis analyze_kernel_program(
       const std::vector<u32>& words) const;
-
-  /// Registry of facts tables for resident kernel images, attached to
-  /// every PMCA core's decode cache (run-ahead widening + counters).
-  const analysis::FactsRegistry& facts_registry() const {
-    return *facts_registry_;
-  }
 
   /// Timing breakdown of one offload.
   struct OffloadResult {
@@ -153,15 +143,11 @@ class OffloadRuntime {
     // Profiler symbol table; host-side metadata (not snapshotted, like
     // the analysis mode): a restored SoC profiles with raw PCs.
     std::vector<std::pair<std::string, u64>> symbols;
-    // Facts table from load-time analysis; host-side metadata too (a
-    // restored image simply runs unproven until re-registered).
-    std::shared_ptr<const analysis::FactsTable> facts;
   };
 
   Cycles load_code(Image& image);
 
   core::HulkVSoc* soc_;
-  std::shared_ptr<analysis::FactsRegistry> facts_registry_;
   AnalysisMode analysis_mode_ = AnalysisMode::kReject;
   analysis::Policy analysis_policy_ = analysis::Policy::standard();
   SharedRegion shared_;

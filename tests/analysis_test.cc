@@ -21,7 +21,7 @@ using isa::Op;
 using namespace isa::reg;
 
 /// Cluster-profile options with the default SoC IOPMP grants (L2, DRAM,
-/// cluster peripherals), matching OffloadRuntime::analyze_kernel.
+/// cluster peripherals), matching OffloadRuntime::register_kernel.
 Options cluster_options() {
   static core::Iopmp iopmp = [] {
     core::Iopmp p;

@@ -13,7 +13,6 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/sched.hpp"
 #include "core/soc.hpp"
@@ -193,89 +192,24 @@ TEST(BlockCache, FaultOnLaterWordEndsBlock) {
   EXPECT_THROW(cache.block_at(0x9000), SimError);
 }
 
-// ---------------------------------------------------------------------
-// Fact-provider attachment (analysis::FactsTable -> translate time)
-// ---------------------------------------------------------------------
-
-/// li a7, kExit; ecall at `base` — one block whose only shared-state
-/// instruction is an ecall the analyzer proves core-local.
-TestProgram exit_only_program(Addr base) {
-  TestProgram prog(base);
-  Assembler a(base, /*rv64=*/false);
+TEST(BlockCache, SharedMaskMarksMemoryAndTrapOps) {
+  // Loads, stores and trap ops may touch state shared between cores;
+  // ALU ops may not. The exit ecall keeps its bit although the analyzer
+  // proves it core-local: analyzer facts never reach the cache.
+  TestProgram prog(0x7000);
+  Assembler a(0x7000, /*rv64=*/false);
+  a.addi(t0, t0, 1);
+  a.lw(t1, 0, a0);
+  a.sw(t1, 4, a0);
   a.li(a7, cluster::envcall::kExit);
   a.ecall();
   prog.words = a.assemble();
-  return prog;
-}
-
-analysis::Options provider_options(Addr base) {
-  analysis::Options options;
-  options.profile = analysis::IsaProfile::kClusterRv32;
-  options.base = base;
-  return options;
-}
-
-TEST(BlockCacheFacts, ProviderClearsProvenEcallAndCounts) {
-  TestProgram prog = exit_only_program(0x7000);
-  const analysis::Analysis an =
-      analysis::analyze_program(prog.words, provider_options(0x7000));
 
   BlockCache cache = prog.make_cache();
-  // Baseline translation without a provider: the ecall's shared_mask
-  // bit is set and no facts are attached.
-  const u64 ecall_bit = u64{1} << (prog.words.size() - 1);
-  {
-    const isa::DecodedBlock& b = cache.block_at(0x7000);
-    EXPECT_NE(b.shared_mask & ecall_bit, 0u);
-    EXPECT_FALSE(b.facts_proven);
-    EXPECT_EQ(cache.fact_proven_blocks(), 0u);
-  }
-
-  // Installing the provider invalidates, so the next dispatch
-  // re-translates and picks the facts up.
-  analysis::attach_facts(cache, 0x7000, an.facts);
   const isa::DecodedBlock& b = cache.block_at(0x7000);
-  EXPECT_TRUE(b.facts_proven);
-  EXPECT_TRUE(b.facts_eligible);
-  EXPECT_EQ(b.shared_mask & ecall_bit, 0u);  // proven core-local
-  EXPECT_EQ(b.min_cycles, prog.words.size());
-  EXPECT_EQ(cache.fact_proven_blocks(), 1u);
-  EXPECT_EQ(cache.fact_eligible_blocks(), 1u);
-}
-
-TEST(BlockCacheFacts, ProviderReturningFalseLeavesBlockUnproven) {
-  TestProgram prog = exit_only_program(0x7100);
-  BlockCache cache = prog.make_cache();
-  cache.set_fact_provider([](Addr, const isa::Instr*, size_t,
-                             isa::RunAheadFacts*) { return false; });
-  const isa::DecodedBlock& b = cache.block_at(0x7100);
-  EXPECT_FALSE(b.facts_proven);
-  EXPECT_FALSE(b.facts_eligible);
-  EXPECT_EQ(b.min_cycles, 0u);
-  EXPECT_NE(b.shared_mask, 0u);  // the ecall bit stays set
-  EXPECT_EQ(cache.fact_proven_blocks(), 0u);
-  EXPECT_EQ(cache.fact_eligible_blocks(), 0u);
-}
-
-TEST(BlockCacheFacts, RewrittenWordDegradesToUnproven) {
-  // Facts survive re-translation only while the decoded words still
-  // match the analyzed image: after rewriting an instruction (and the
-  // mandatory explicit invalidation) the provider must refuse.
-  TestProgram prog = exit_only_program(0x7200);
-  const analysis::Analysis an =
-      analysis::analyze_program(prog.words, provider_options(0x7200));
-  BlockCache cache = prog.make_cache();
-  analysis::attach_facts(cache, 0x7200, an.facts);
-  EXPECT_TRUE(cache.block_at(0x7200).facts_proven);
-
-  Assembler patched(0x7200, /*rv64=*/false);
-  patched.li(a7, cluster::envcall::kExit + 1);  // different service id
-  patched.ecall();
-  prog.words = patched.assemble();
-  cache.invalidate();
-  const isa::DecodedBlock& b = cache.block_at(0x7200);
-  EXPECT_FALSE(b.facts_proven);
-  EXPECT_NE(b.shared_mask, 0u);
+  ASSERT_EQ(b.instrs.size(), prog.words.size());
+  const u64 ecall_bit = u64{1} << (b.instrs.size() - 1);
+  EXPECT_EQ(b.shared_mask, u64{0b110} | ecall_bit);
 }
 
 // ---------------------------------------------------------------------

@@ -1,17 +1,10 @@
-// Block-facts plumbing tests (src/analysis/{facts,callgraph,footprint}):
+// Block-facts tests (src/analysis/{facts,callgraph,footprint}):
 //  * RangeSet normalisation (merge, adjacency, the kMaxRanges cap,
 //    within, unbounded absorption),
-//  * FactsTable::query_range — flag conjunction, the clear_mask for
-//    proven core-local ecalls, and the self-modifying-code guard (a
-//    decoded word that no longer matches the analyzed image must
-//    degrade to "unproven", never to wrong facts),
-//  * FactsRegistry image registration/displacement/lookup,
+//  * FactsTable block and instruction facts: run-ahead eligibility,
+//    min_cycles and the core-local ecall flag,
 //  * call-graph summaries: entry function first, direct callees,
 //    recursion, indirect-call taint, effect propagation bottom-up,
-//  * the real load paths: offloading a kernel through OffloadRuntime
-//    and running host programs through run_host_program must leave the
-//    executing cores' BlockCaches with fact-proven (and run-ahead
-//    eligible) translations — the counters simperf reports,
 //  * the whole-corpus golden JSON (tests/golden/analyze_corpus.json,
 //    regenerate with HULKV_REGEN_GOLDEN=1).
 #include <gtest/gtest.h>
@@ -22,13 +15,9 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "core/soc.hpp"
+#include "cluster/pmca_core.hpp"
 #include "isa/assembler.hpp"
-#include "kernels/cluster_kernels.hpp"
 #include "kernels/corpus.hpp"
-#include "kernels/iot_benchmarks.hpp"
-#include "kernels/kernel.hpp"
-#include "runtime/offload.hpp"
 
 #ifndef HULKV_TEST_DATA_DIR
 #define HULKV_TEST_DATA_DIR "."
@@ -41,27 +30,12 @@ using isa::Assembler;
 using isa::Op;
 using namespace isa::reg;
 
-core::SocConfig fast_config() {
-  core::SocConfig cfg;
-  cfg.main_memory = core::MainMemoryKind::kDdr4;
-  return cfg;
-}
-
 Options cluster_options() {
   Options options;
   options.profile = IsaProfile::kClusterRv32;
   options.base = 0;
   options.pic = true;
   return options;
-}
-
-/// Instr array whose raw words match `words` — query_range verifies
-/// only the raw encodings, so decode metadata can stay zeroed.
-std::vector<isa::Instr> raw_instrs(const std::vector<u32>& words,
-                                   size_t first, size_t count) {
-  std::vector<isa::Instr> instrs(count);
-  for (size_t i = 0; i < count; ++i) instrs[i].raw = words[first + i];
-  return instrs;
 }
 
 // ---------------------------------------------------------------------
@@ -115,13 +89,12 @@ TEST(RangeSet, UnboundedAbsorbsEverything) {
 }
 
 // ---------------------------------------------------------------------
-// FactsTable::query_range
+// FactsTable
 // ---------------------------------------------------------------------
 
-/// Pure arithmetic block, then a core-local exit ecall: the analyzer
-/// must prove the whole program eligible with the ecall's shared_mask
-/// bit clearable.
-TEST(FactsTable, QueryRangeProvesEligibleAndClearMask) {
+/// Pure arithmetic, then a core-local exit ecall: the analyzer must
+/// prove the whole block eligible and flag the ecall core-local.
+TEST(FactsTable, ProvesEligibleBlockAndCoreLocalEcall) {
   Assembler a(0, false);
   a.li(t0, 1);
   a.li(t1, 2);
@@ -130,16 +103,15 @@ TEST(FactsTable, QueryRangeProvesEligibleAndClearMask) {
   a.ecall();
   const std::vector<u32> words = a.assemble();
   const Analysis an = analyze_program(words, cluster_options());
-  ASSERT_TRUE(an.facts != nullptr);
 
-  const auto instrs = raw_instrs(words, 0, words.size());
-  isa::RunAheadFacts out;
-  ASSERT_TRUE(an.facts->query_range(0, instrs.data(), instrs.size(), &out));
-  EXPECT_TRUE(out.eligible);
-  EXPECT_EQ(out.min_cycles, words.size());
-  // The ecall is the last instruction; exactly its bit is clearable.
-  EXPECT_EQ(out.clear_mask, u64{1} << (words.size() - 1));
-  EXPECT_EQ(an.facts->core_local_ecalls(), 1u);
+  ASSERT_EQ(an.facts.blocks.size(), 1u);
+  const BlockFacts& block = an.facts.blocks[0];
+  EXPECT_TRUE(block.run_ahead_eligible);
+  EXPECT_EQ(block.min_cycles, words.size());
+  // The ecall is the last instruction and the only core-local one.
+  ASSERT_EQ(an.facts.instr_facts.size(), words.size());
+  EXPECT_NE(an.facts.instr_facts.back() & kFactCoreLocalEcall, 0);
+  EXPECT_EQ(an.facts.core_local_ecalls(), 1u);
 }
 
 TEST(FactsTable, MemoryAccessBlocksEligibility) {
@@ -150,69 +122,12 @@ TEST(FactsTable, MemoryAccessBlocksEligibility) {
   a.ecall();
   const std::vector<u32> words = a.assemble();
   const Analysis an = analyze_program(words, cluster_options());
-  const auto instrs = raw_instrs(words, 0, words.size());
-  isa::RunAheadFacts out;
-  ASSERT_TRUE(an.facts->query_range(0, instrs.data(), instrs.size(), &out));
-  EXPECT_FALSE(out.eligible);  // the store is a memory access
-  // The ecall bit is still clearable: clear_mask and eligibility are
-  // independent facts (run-ahead may widen past the ecall even in a
-  // block it must park for).
-  EXPECT_NE(out.clear_mask & (u64{1} << (words.size() - 1)), 0u);
-}
-
-TEST(FactsTable, SmcMismatchDegradesToUnproven) {
-  Assembler a(0, false);
-  a.li(t0, 1);
-  a.li(a7, cluster::envcall::kExit);
-  a.ecall();
-  const std::vector<u32> words = a.assemble();
-  const Analysis an = analyze_program(words, cluster_options());
-  auto instrs = raw_instrs(words, 0, words.size());
-  isa::RunAheadFacts out;
-  ASSERT_TRUE(an.facts->query_range(0, instrs.data(), instrs.size(), &out));
-  // A rewritten word (self-modifying code) must invalidate the proof.
-  instrs[0].raw ^= 0x1000;
-  EXPECT_FALSE(
-      an.facts->query_range(0, instrs.data(), instrs.size(), &out));
-  // Out-of-image and misaligned queries are unproven, not UB.
-  EXPECT_FALSE(an.facts->query_range(words.size() * 4, instrs.data(), 1,
-                                     &out));
-  EXPECT_FALSE(an.facts->query_range(2, instrs.data(), 1, &out));
-  EXPECT_FALSE(an.facts->query_range(0, instrs.data(), 0, &out));
-}
-
-// ---------------------------------------------------------------------
-// FactsRegistry
-// ---------------------------------------------------------------------
-
-TEST(FactsRegistry, RegisterFindDisplace) {
-  auto table_a = std::make_shared<FactsTable>();
-  table_a->words.resize(4);  // 16 bytes
-  auto table_b = std::make_shared<FactsTable>();
-  table_b->words.resize(8);  // 32 bytes
-
-  FactsRegistry reg;
-  reg.register_image(0x1000, table_a);
-  reg.register_image(0x2000, table_b);
-  EXPECT_EQ(reg.size(), 2u);
-
-  Addr base = 0;
-  EXPECT_EQ(reg.find(0x100F, &base), table_a.get());
-  EXPECT_EQ(base, 0x1000u);
-  EXPECT_EQ(reg.find(0x1010, &base), nullptr);
-  EXPECT_EQ(reg.find(0x2010, &base), table_b.get());
-
-  // A new image overlapping table_a's range displaces it.
-  auto table_c = std::make_shared<FactsTable>();
-  table_c->words.resize(16);
-  reg.register_image(0x0FF8, table_c);
-  EXPECT_EQ(reg.size(), 2u);
-  EXPECT_EQ(reg.find(0x1000, &base), table_c.get());
-  EXPECT_EQ(base, 0x0FF8u);
-
-  reg.clear();
-  EXPECT_EQ(reg.size(), 0u);
-  EXPECT_EQ(reg.find(0x1000, &base), nullptr);
+  ASSERT_EQ(an.facts.blocks.size(), 1u);
+  EXPECT_TRUE(an.facts.blocks[0].may_access_memory);
+  EXPECT_FALSE(an.facts.blocks[0].run_ahead_eligible);  // the store
+  // The ecall is still proven core-local: the per-instruction flags and
+  // the block's eligibility are independent facts.
+  EXPECT_NE(an.facts.instr_facts.back() & kFactCoreLocalEcall, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -230,7 +145,7 @@ TEST(Callgraph, DirectCalleeAndEffectPropagation) {
   a.ret();
   const std::vector<u32> words = a.assemble();
   const Analysis an = analyze_program(words, cluster_options());
-  const auto& funcs = an.facts->functions;
+  const auto& funcs = an.facts.functions;
   ASSERT_EQ(funcs.size(), 2u);
   EXPECT_EQ(funcs[0].entry, 0u);  // image entry first
   ASSERT_EQ(funcs[0].callees.size(), 1u);
@@ -258,7 +173,7 @@ TEST(Callgraph, RecursionConvergesAndIsFlagged) {
   a.ret();
   const std::vector<u32> words = a.assemble();
   const Analysis an = analyze_program(words, cluster_options());
-  const auto& funcs = an.facts->functions;
+  const auto& funcs = an.facts.functions;
   ASSERT_EQ(funcs.size(), 2u);
   EXPECT_TRUE(funcs[1].recursive);
   EXPECT_FALSE(funcs[0].recursive);
@@ -274,73 +189,12 @@ TEST(Callgraph, IndirectCallTaints) {
   a.ecall();
   const std::vector<u32> words = a.assemble();
   const Analysis an = analyze_program(words, cluster_options());
-  ASSERT_FALSE(an.facts->functions.empty());
-  const FuncSummary& entry = an.facts->functions[0];
+  ASSERT_FALSE(an.facts.functions.empty());
+  const FuncSummary& entry = an.facts.functions[0];
   EXPECT_TRUE(entry.has_indirect_call);
   // Unknown callee: conservatively impure with unbounded footprint.
   EXPECT_FALSE(entry.pure);
   EXPECT_TRUE(entry.footprint.unbounded());
-}
-
-// ---------------------------------------------------------------------
-// Load paths: facts must reach the executing cores' BlockCaches
-// ---------------------------------------------------------------------
-
-TEST(LoadPath, OffloadAttachesFactsToClusterCores) {
-  core::HulkVSoc soc(fast_config());
-  runtime::OffloadRuntime runtime(&soc);
-  // Real corpus kernel; argument values only need to be valid buffers
-  // (relu: [0]=x_ext [1]=y_ext [2]=x_l1 [3]=y_l1).
-  const auto kernel = kernels::cluster_relu_i8(64);
-  const auto handle = runtime.register_kernel(kernel.name, kernel.words);
-  const std::array<u32, 4> args = {
-      static_cast<u32>(core::layout::kSharedBase),
-      static_cast<u32>(core::layout::kSharedBase + 0x100),
-      static_cast<u32>(mem::map::kTcdmBase + 0x400),
-      static_cast<u32>(mem::map::kTcdmBase + 0x600)};
-  runtime.offload(handle, args);
-  EXPECT_EQ(runtime.facts_registry().size(), 1u);
-  u64 proven = 0, eligible = 0;
-  for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
-    proven += soc.cluster().core(c).decode_blocks().fact_proven_blocks();
-    eligible +=
-        soc.cluster().core(c).decode_blocks().fact_eligible_blocks();
-  }
-  EXPECT_GT(proven, 0u);
-  EXPECT_GT(eligible, 0u);
-  // Eviction drops the image's facts with its residency.
-  runtime.evict_all();
-  EXPECT_EQ(runtime.facts_registry().size(), 0u);
-}
-
-TEST(LoadPath, HostProgramsRunWithProvenFacts) {
-  core::HulkVSoc soc(fast_config());
-  // Two real corpus programs back to back on one host timeline; each
-  // run_host_program call re-attaches its own facts table.
-  {
-    const auto prog = kernels::host_shell_sort(64);
-    std::vector<i32> data(64, 3);
-    soc.write_mem(core::layout::kSharedBase, data.data(),
-                  data.size() * 4);
-    const std::array<u64, 1> args = {core::layout::kSharedBase};
-    kernels::run_host_program(soc, prog.words, args);
-    EXPECT_GT(soc.host().decode_blocks().fact_proven_blocks(), 0u);
-    EXPECT_GT(soc.host().decode_blocks().fact_eligible_blocks(), 0u);
-  }
-  {
-    const auto prog = kernels::host_crc32(64);
-    const std::vector<u8> data(64, 0xA5);
-    const std::vector<u32> table(256, 0);
-    const Addr pdata = core::layout::kSharedBase;
-    const Addr ptable = pdata + 0x100;
-    const Addr pout = ptable + 0x400;
-    soc.write_mem(pdata, data.data(), data.size());
-    soc.write_mem(ptable, table.data(), table.size() * 4);
-    const std::array<u64, 3> args = {pdata, ptable, pout};
-    const u64 before = soc.host().decode_blocks().fact_proven_blocks();
-    kernels::run_host_program(soc, prog.words, args);
-    EXPECT_GT(soc.host().decode_blocks().fact_proven_blocks(), before);
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -353,9 +207,8 @@ TEST(Corpus, AnalysesAreErrorFreeWithProvenBlocks) {
   u32 with_eligible = 0;
   for (const auto& r : results) {
     EXPECT_TRUE(r.analysis.report.ok()) << r.entry.name;
-    ASSERT_TRUE(r.analysis.facts != nullptr) << r.entry.name;
-    EXPECT_GT(r.analysis.facts->reachable_blocks(), 0u) << r.entry.name;
-    if (r.analysis.facts->eligible_blocks() > 0) ++with_eligible;
+    EXPECT_GT(r.analysis.facts.reachable_blocks(), 0u) << r.entry.name;
+    if (r.analysis.facts.eligible_blocks() > 0) ++with_eligible;
   }
   // The ISSUE gate: run-ahead-eligible blocks proven on well over
   // three programs.

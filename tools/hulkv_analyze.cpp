@@ -47,7 +47,7 @@ std::string hex(u64 v) {
 /// Per-program detail: report, block fact table, function summaries.
 void print_detail(const kernels::CorpusResult& r) {
   const analysis::Report& rep = r.analysis.report;
-  const analysis::FactsTable& facts = *r.analysis.facts;
+  const analysis::FactsTable& facts = r.analysis.facts;
   std::printf("== %s ==\n%s", r.entry.name.c_str(),
               rep.to_string().c_str());
   std::printf("\nblocks (reachable %u, pure %u, memory-free %u, "
