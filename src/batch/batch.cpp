@@ -14,59 +14,42 @@
 
 namespace hulkv::batch {
 
-namespace {
-
-/// Stats of the most recent run_jobs() (orchestration-thread owned).
-SweepStats g_last_stats;  // NOLINT(cert-err58-cpp)
-
-}  // namespace
-
 u32 default_jobs() {
   const u32 hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
 
-double SweepStats::jobs_per_s() const {
-  return wall_ns == 0 ? 0.0
-                      : static_cast<double>(jobs) / wall_seconds();
-}
-
-double SweepStats::utilization() const {
-  if (wall_ns == 0 || workers == 0) return 0.0;
-  return static_cast<double>(busy_ns) /
-         (static_cast<double>(wall_ns) * workers);
-}
-
-void SweepStats::add_to(report::MetricsReport& rep,
-                        const std::string& prefix) const {
-  rep.add_metric(prefix + "jobs", report::Value::uinteger(jobs));
-  rep.add_metric(prefix + "workers", report::Value::uinteger(workers));
-  rep.add_metric(prefix + "wall_s",
-                 report::Value::number(wall_seconds(), 4), "s");
-  rep.add_metric(prefix + "jobs_per_s",
-                 report::Value::number(jobs_per_s(), 2), "jobs/s");
-  rep.add_metric(prefix + "latency_p50",
-                 report::Value::uinteger(latency.percentile(50)), "ns");
-  rep.add_metric(prefix + "latency_p90",
-                 report::Value::uinteger(latency.percentile(90)), "ns");
-  rep.add_metric(prefix + "latency_p99",
-                 report::Value::uinteger(latency.percentile(99)), "ns");
-  rep.add_metric(prefix + "latency_mean",
-                 report::Value::number(latency.mean(), 1), "ns");
-  rep.add_metric(prefix + "utilization",
-                 report::Value::number(utilization(), 4));
-  rep.add_metric(prefix + "max_in_flight",
-                 report::Value::uinteger(max_in_flight));
-}
-
-const SweepStats& last_sweep_stats() { return g_last_stats; }
-
 namespace {
 
-/// Finalize per-job measurements into g_last_stats and, when telemetry
-/// is collecting, hand the summary to the registry for the manifest.
+/// Host-side statistics of one run_jobs() pool drain (DESIGN.md §14.3).
+struct SweepStats {
+  u64 jobs = 0;
+  u32 workers = 0;        // effective worker count after clamping
+  u64 wall_ns = 0;        // queue open -> pool drained
+  u64 busy_ns = 0;        // sum of per-job wall times
+  u64 max_in_flight = 0;  // peak concurrently-running jobs observed
+  telemetry::HistogramData latency;  // per-job wall ns
+
+  /// Jobs per second of wall time (0 for an empty or unfinished run).
+  double jobs_per_s() const {
+    return wall_ns == 0 ? 0.0
+                        : static_cast<double>(jobs) /
+                              (static_cast<double>(wall_ns) / 1e9);
+  }
+  /// busy / (wall * workers): 1.0 = every worker ran jobs the whole
+  /// drain; low values mean workers starved on an uneven grid.
+  double utilization() const {
+    if (wall_ns == 0 || workers == 0) return 0.0;
+    return static_cast<double>(busy_ns) /
+           (static_cast<double>(wall_ns) * workers);
+  }
+};
+
+/// Finalize per-job measurements and, when telemetry is collecting,
+/// hand the summary to the registry for the manifest.
 void finish_sweep_stats(SweepStats stats, const std::vector<u64>& durations,
-                        std::vector<u64> in_flight, u64 start_ns) {
+                        const std::vector<u64>& in_flight, u64 start_ns) {
+  if (!telemetry::enabled()) return;
   stats.wall_ns = telemetry::now_ns() - start_ns;
   for (const u64 d : durations) {
     stats.latency.record(d);
@@ -75,30 +58,23 @@ void finish_sweep_stats(SweepStats stats, const std::vector<u64>& durations,
   for (const u64 f : in_flight) {
     stats.max_in_flight = std::max(stats.max_in_flight, f);
   }
-  stats.in_flight_samples = std::move(in_flight);
-  if (telemetry::enabled()) {
-    telemetry::SweepSummary summary;
-    summary.jobs = stats.jobs;
-    summary.workers = stats.workers;
-    summary.wall_ns = stats.wall_ns;
-    summary.busy_ns = stats.busy_ns;
-    summary.p50_ns = stats.latency.percentile(50);
-    summary.p99_ns = stats.latency.percentile(99);
-    summary.max_in_flight = stats.max_in_flight;
-    summary.jobs_per_s = stats.jobs_per_s();
-    summary.utilization = stats.utilization();
-    telemetry::registry().note_sweep(summary);
-  }
-  g_last_stats = std::move(stats);
+  telemetry::SweepSummary summary;
+  summary.jobs = stats.jobs;
+  summary.workers = stats.workers;
+  summary.wall_ns = stats.wall_ns;
+  summary.busy_ns = stats.busy_ns;
+  summary.p50_ns = stats.latency.percentile(50);
+  summary.p99_ns = stats.latency.percentile(99);
+  summary.max_in_flight = stats.max_in_flight;
+  summary.jobs_per_s = stats.jobs_per_s();
+  summary.utilization = stats.utilization();
+  telemetry::registry().note_sweep(summary);
 }
 
 }  // namespace
 
 void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job) {
-  if (count == 0) {
-    g_last_stats = {};
-    return;
-  }
+  if (count == 0) return;
   if (workers == 0) workers = default_jobs();
   if (workers > count) workers = static_cast<u32>(count);
 
@@ -123,8 +99,7 @@ void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job) {
       }
       durations[i] = telemetry::now_ns() - job_start;
     }
-    finish_sweep_stats(std::move(stats), durations, std::move(in_flight),
-                       start_ns);
+    finish_sweep_stats(stats, durations, in_flight, start_ns);
     return;
   }
 
@@ -169,8 +144,7 @@ void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job) {
   }
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-  finish_sweep_stats(std::move(stats), durations, std::move(in_flight),
-                     start_ns);
+  finish_sweep_stats(stats, durations, in_flight, start_ns);
 }
 
 SocSnapshot SocSnapshot::capture(
@@ -189,40 +163,6 @@ void SocSnapshot::restore_into(
   // No checksum pass: capture() is the only source of bytes_, and its
   // Writer computed the trailer over exactly these bytes.
   soc.restore(snapshot::Reader(bytes_.data(), bytes_.size()), extra);
-}
-
-report::MetricsReport merge_reports(
-    const std::string& name,
-    const std::vector<report::MetricsReport>& parts) {
-  report::MetricsReport merged(name);
-  for (const report::MetricsReport& part : parts) {
-    for (const auto& metric : part.metrics()) {
-      merged.add_metric(metric.key, metric.value, metric.unit);
-    }
-    for (const report::Table& table : part.tables()) {
-      merged.add_table(table);
-    }
-    for (const std::string& note : part.notes()) merged.add_note(note);
-  }
-  return merged;
-}
-
-report::MetricsReport SweepEngine::map_reports(
-    const std::string& name, u64 count,
-    const std::function<report::MetricsReport(u64)>& fn) const {
-  // Slots first (MetricsReport has no default ctor — seed with an empty
-  // name; every slot is overwritten by its job).
-  std::vector<report::MetricsReport> parts(count,
-                                           report::MetricsReport(""));
-  run_jobs(count, workers_, [&](u64 index) { parts[index] = fn(index); });
-  return merge_reports(name, parts);
-}
-
-report::MetricsReport SweepEngine::stats_report(
-    const std::string& name) const {
-  report::MetricsReport rep(name);
-  last_stats().add_to(rep, "sweep.");
-  return rep;
 }
 
 }  // namespace hulkv::batch

@@ -237,15 +237,4 @@ void Cluster::serialize(snapshot::Archive& ar) {
   if (ar.loading()) sched_.reset(config_.num_cores);
 }
 
-void Cluster::reset() {
-  team_size_ = 0;
-  std::fill(at_barrier_.begin(), at_barrier_.end(), false);
-  event_unit_ = std::make_unique<EventUnit>(config_.num_cores);
-  tcdm_.reset();
-  icache_.reset();
-  dma_.reset();
-  for (auto& core : cores_) core->reset();
-  sched_.reset(config_.num_cores);
-}
-
 }  // namespace hulkv::cluster

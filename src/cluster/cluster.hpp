@@ -79,9 +79,6 @@ class Cluster {
   /// loading.
   void serialize(snapshot::Archive& ar);
 
-  /// Freshly-constructed state across all cluster blocks.
-  void reset();
-
  private:
   void handle_envcall(PmcaCore& core);
   void release_barrier();

@@ -112,10 +112,4 @@ void ClusterDma::serialize(snapshot::Archive& ar) {
   stats_.serialize(ar);
 }
 
-void ClusterDma::reset() {
-  jobs_.clear();
-  retired_ = 0;
-  stats_.reset();
-}
-
 }  // namespace hulkv::cluster

@@ -46,9 +46,6 @@ class ClusterDma {
   /// Snapshot traversal (outstanding job completion times + stats).
   void serialize(snapshot::Archive& ar);
 
-  /// Freshly-constructed state (no outstanding jobs).
-  void reset();
-
  private:
   bool in_tcdm(Addr addr, u64 bytes) const;
   Cycles move(Cycles now, Addr dst, Addr src, u32 bytes);

@@ -46,12 +46,6 @@ class ClusterIcache {
     for (auto& cache : private_) cache->serialize(ar);
   }
 
-  /// Freshly-constructed state.
-  void reset() {
-    shared_->reset();
-    for (auto& cache : private_) cache->reset();
-  }
-
  private:
   mem::FixedLatency l2_latency_;
   std::unique_ptr<mem::CacheModel> shared_;

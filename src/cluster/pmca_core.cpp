@@ -187,8 +187,6 @@ inline void PmcaCore::apply_hwloops() {
   }
 }
 
-void PmcaCore::step() { run_slice(CoreScheduler::kIdle, 1); }
-
 void PmcaCore::run_slice(u64 limit, u64 max_instrs) {
   HULKV_CHECK(state_ == State::kRunning, "stepping a non-running core");
   // With tracing on, every instruction is treated as shared so events
@@ -1070,23 +1068,6 @@ void PmcaCore::serialize(snapshot::Archive& ar) {
     blocks_.invalidate();
     cursor_ = {};
   }
-}
-
-void PmcaCore::reset() {
-  std::fill(std::begin(x_), std::end(x_), 0);
-  std::fill(std::begin(f_), std::end(f_), 0);
-  pc_ = 0;
-  next_pc_ = 0;
-  cycle_ = 0;
-  issue_cycle_ = 0;
-  instret_ = 0;
-  state_ = State::kFinished;
-  loops_[0] = loops_[1] = HwLoop{};
-  fetch_line_ = ~0ull;
-  pending_commits_ = 0;
-  stats_.reset();
-  blocks_.invalidate();
-  cursor_ = {};
 }
 
 }  // namespace hulkv::cluster

@@ -73,9 +73,6 @@ class PmcaCore {
   /// point, keep the clock (time continues across offloads).
   void reset_for_run(Addr entry);
 
-  /// Execute one instruction. Only valid in kRunning.
-  void step();
-
   /// Execute a run of instructions from the decoded-block cache while
   /// this core remains the cluster's laggard: runs until the core is no
   /// longer kRunning, an environment call retires (its side effects —
@@ -125,7 +122,7 @@ class PmcaCore {
 
   /// Close out this core's trace for one kernel run: emits the per-core
   /// `run` interval [dispatched, now] and flushes the commit batch so
-  /// windowed commit totals are exact. Called by the cluster scheduler.
+  /// the trace's commit totals are exact. Called by the cluster scheduler.
   void trace_kernel_done(Cycles dispatched);
 
   StatGroup& stats() { return stats_; }
@@ -144,9 +141,6 @@ class PmcaCore {
   /// Snapshot traversal: registers, clock, run state, hardware loops,
   /// stats. The decoded-block cache is invalidated on load.
   void serialize(snapshot::Archive& ar);
-
-  /// Freshly-constructed state (clock rewound, state back to kFinished).
-  void reset();
 
  private:
   /// Trap ops (ecall/ebreak and ops without a handler), executed at
@@ -232,8 +226,8 @@ class PmcaCore {
   isa::BlockCache blocks_;
   EnvHandler env_;
   // Set only where the slice loop stops mid-block; dropped by the next
-  // slice and by reset_for_run(), reset() and snapshot load — the only
-  // other writers of pc_ and fetch_line_.
+  // slice and by reset_for_run() and snapshot load — the only other
+  // writers of pc_ and fetch_line_.
   ResumeCursor cursor_;
   // Cold (touched once per run_slice(), not per instruction); kept last
   // so it does not shift the execution-state members across cache lines.

@@ -76,11 +76,4 @@ void Tcdm::serialize(snapshot::Archive& ar) {
   ar.pod(pending_accesses_);
 }
 
-void Tcdm::reset() {
-  std::fill(storage_.begin(), storage_.end(), 0);
-  std::fill(bank_free_.begin(), bank_free_.end(), 0);
-  stats_.reset();
-  pending_accesses_ = 0;
-}
-
 }  // namespace hulkv::cluster

@@ -43,9 +43,6 @@ class Tcdm {
   /// storage vector never reallocates (cores cache its data pointer).
   void serialize(snapshot::Archive& ar);
 
-  /// Freshly-constructed state.
-  void reset();
-
   /// Bank index holding `offset`.
   u32 bank_of(Addr offset) const {
     return static_cast<u32>((offset >> word_shift_) & bank_mask_);

@@ -26,9 +26,6 @@ class Iopmp {
   /// granting region covers the whole transaction.
   void add_region(const Region& region);
 
-  /// Remove all grants.
-  void clear() { regions_.clear(); }
-
   /// True if a cluster transaction [addr, addr+bytes) is permitted.
   bool check(Addr addr, u32 bytes, bool is_write) const;
 

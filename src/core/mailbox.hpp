@@ -44,12 +44,6 @@ class Mailbox final : public mem::MmioDevice {
   /// Snapshot traversal (both FIFOs; the IRQ wiring is construction-time).
   void serialize(snapshot::Archive& ar);
 
-  /// Freshly-constructed state (drain both FIFOs).
-  void reset() {
-    h2c_.clear();
-    c2h_.clear();
-  }
-
  private:
   std::deque<u32> h2c_;
   std::deque<u32> c2h_;

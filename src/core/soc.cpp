@@ -310,29 +310,4 @@ u64 HulkVSoc::state_digest() {
   return ar.hash();
 }
 
-void HulkVSoc::reset() {
-  dram_.clear();
-  std::fill(l2_.begin(), l2_.end(), 0);
-  std::fill(rom_.begin(), rom_.end(), 0);
-  if (hyperram_) hyperram_->reset();
-  if (ddr4_) ddr4_->reset();
-  if (rpcdram_) rpcdram_->reset();
-  if (llc_) llc_->reset();
-  l2_timing_.reset();
-  rom_timing_.reset();
-  tcdm_axi_timing_.reset();
-  bus_.reset();
-  iopmp_.clear();
-  iopmp_.set_enforcing(true);
-  grant_default_iopmp();
-  mailbox_.reset();
-  plic_.reset();
-  clint_.reset();
-  uart_.clear();
-  cluster_->reset();
-  host_->reset();
-  udma_->reset();
-  periph_udma_->reset();
-}
-
 }  // namespace hulkv::core

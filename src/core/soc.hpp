@@ -151,10 +151,6 @@ class HulkVSoc {
   /// whole-SoC state-equality check.
   u64 state_digest();
 
-  /// Return to freshly-constructed state: state_digest() afterwards
-  /// equals that of a new HulkVSoc with the same config.
-  void reset();
-
   /// Fingerprint of the construction-time configuration (stored in the
   /// snapshot's kMeta section and checked on restore).
   u64 config_fingerprint() const;
@@ -183,7 +179,7 @@ class HulkVSoc {
   void restore_sections(const snapshot::Reader& reader,
                         const SectionReaderFn& extra);
 
-  /// IOPMP grants established at construction (re-applied by reset()).
+  /// IOPMP grants established at construction.
   void grant_default_iopmp();
 
   SocConfig config_;

@@ -36,12 +36,6 @@ class Clint final : public mem::MmioDevice {
     ar.pod(mtimecmp_);
   }
 
-  /// Freshly-constructed state.
-  void reset() {
-    msip_ = false;
-    mtimecmp_ = ~0ull;
-  }
-
  private:
   std::function<Cycles()> time_;
   bool msip_ = false;

@@ -230,8 +230,8 @@ Cva6Core::RunResult Cva6Core::run(u64 max_instructions) {
   stats_.set("cycles", cycle_);
   stats_.set("instret", instret_);
   if (trace::enabled()) {
-    // Close the run interval and flush the commit remainder so windowed
-    // commit totals equal instret exactly.
+    // Close the run interval and flush the commit remainder so the
+    // trace's commit totals equal instret exactly.
     auto& sink = trace::sink();
     const u32 track = sink.resolve(trace_track_, stats_.name());
     if (pending_commits_ > 0) {
@@ -998,25 +998,6 @@ void Cva6Core::serialize(snapshot::Archive& ar) {
   if (dtlb_) dtlb_->serialize(ar);
   stats_.serialize(ar);
   if (ar.loading()) blocks_.invalidate();
-}
-
-void Cva6Core::reset() {
-  std::fill(std::begin(x_), std::end(x_), 0);
-  std::fill(std::begin(f_), std::end(f_), 0);
-  pc_ = config_.boot_pc;
-  next_pc_ = 0;
-  cycle_ = 0;
-  instret_ = 0;
-  exited_ = false;
-  exit_code_ = 0;
-  fetch_line_ = ~0ull;
-  pending_commits_ = 0;
-  icache_.reset();
-  dcache_.reset();
-  if (itlb_) itlb_->reset();
-  if (dtlb_) dtlb_->reset();
-  stats_.reset();
-  blocks_.invalidate();
 }
 
 }  // namespace hulkv::host

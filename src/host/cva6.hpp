@@ -148,10 +148,6 @@ class Cva6Core {
   /// on load (blocks re-translate from restored memory on demand).
   void serialize(snapshot::Archive& ar);
 
-  /// Freshly-constructed state (registers cleared, pc back at the boot
-  /// vector, clock and caches rewound).
-  void reset();
-
   mem::CacheModel& icache() { return icache_; }
   mem::CacheModel& dcache() { return dcache_; }
   /// Data/instruction TLBs (nullptr when the MMU model is disabled).

@@ -50,12 +50,6 @@ class PeriphUdma {
     stats_.serialize(ar);
   }
 
-  /// Freshly-constructed state.
-  void reset() {
-    tx_log_.clear();
-    stats_.reset();
-  }
-
  private:
   bool in_l2(Addr addr, u64 bytes) const;
   Cycles charge_l2(Cycles start, Addr addr, u32 bytes, bool is_write);

@@ -40,14 +40,6 @@ class Plic final : public mem::MmioDevice {
     ar.bytes(priority_.data(), priority_.size() * sizeof(u32));
   }
 
-  /// Freshly-constructed state.
-  void reset() {
-    pending_ = 0;
-    enabled_ = 0;
-    claimed_ = 0;
-    priority_.fill(0);
-  }
-
  private:
   u32 highest_pending() const;
 

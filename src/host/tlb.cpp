@@ -51,12 +51,6 @@ void Tlb::flush() {
   stats_.increment("flushes");
 }
 
-void Tlb::reset() {
-  for (Entry& entry : entries_) entry = Entry{};
-  use_clock_ = 0;
-  stats_.reset();
-}
-
 void Tlb::serialize(snapshot::Archive& ar) {
   ar.pod(use_clock_);
   // Field by field: Entry has padding bytes.

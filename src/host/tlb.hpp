@@ -46,9 +46,6 @@ class Tlb {
   /// sfence.vma: drop all entries.
   void flush();
 
-  /// Freshly-constructed state: entries, LRU clock, stats.
-  void reset();
-
   /// Snapshot traversal.
   void serialize(snapshot::Archive& ar);
 

@@ -104,9 +104,4 @@ void prepare_host_program(core::HulkVSoc& soc,
   host.set_pc(core::layout::kHostCodeBase);
 }
 
-runtime::Arena make_dram_arena() {
-  return runtime::Arena(core::layout::kSharedBase,
-                        core::layout::kSharedSize);
-}
-
 }  // namespace hulkv::kernels

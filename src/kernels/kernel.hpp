@@ -15,7 +15,6 @@
 
 #include "core/soc.hpp"
 #include "isa/assembler.hpp"
-#include "runtime/hulk_malloc.hpp"
 
 namespace hulkv::kernels {
 
@@ -71,9 +70,5 @@ void prepare_host_program(core::HulkVSoc& soc,
 /// so host flamegraphs resolve to kernel labels instead of raw PCs.
 HostRun run_host_program(core::HulkVSoc& soc, const KernelProgram& program,
                          std::span<const u64> args);
-
-/// Convenience arena over the shared external-memory data region for
-/// benches that do not instantiate the full offload runtime.
-runtime::Arena make_dram_arena();
 
 }  // namespace hulkv::kernels

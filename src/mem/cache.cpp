@@ -92,8 +92,6 @@ void SetAssocTags::flush() {
   use_clock_ = 0;
 }
 
-void SetAssocTags::reset() { flush(); }
-
 void SetAssocTags::serialize(snapshot::Archive& ar) {
   ar.pod(use_clock_);
   // Field by field: Way has padding bytes, which must never reach the
@@ -104,12 +102,6 @@ void SetAssocTags::serialize(snapshot::Archive& ar) {
     ar.pod(way.valid);
     ar.pod(way.dirty);
   }
-}
-
-void CacheModel::reset() {
-  tags_.reset();
-  stats_.reset();
-  pending_hits_ = 0;
 }
 
 void CacheModel::serialize(snapshot::Archive& ar) {
@@ -136,7 +128,7 @@ CacheModel::CacheModel(const CacheConfig& config, MemTiming* next)
 }
 
 /// L1 hits are batched: one counter event per kHitBatchSize hits keeps
-/// the trace small while the windowed activity curve stays usable.
+/// the trace small.
 namespace {
 constexpr u32 kHitBatchSize = 256;
 }  // namespace

@@ -49,10 +49,6 @@ class SetAssocTags {
   /// Invalidate everything.
   void flush();
 
-  /// Freshly-constructed state: flush() plus a rewound LRU clock (the
-  /// use clock is digest-visible, so reset must restore it too).
-  void reset();
-
   /// Snapshot traversal: use clock + per-way tag/LRU/valid/dirty.
   void serialize(snapshot::Archive& ar);
 
@@ -115,9 +111,6 @@ class CacheModel final : public MemTiming {
   Cycles access(Cycles now, Addr addr, u32 bytes, bool is_write) override;
 
   void flush() { tags_.flush(); }
-
-  /// Freshly-constructed state: tags, stats, trace batch counter.
-  void reset();
 
   /// Snapshot traversal.
   void serialize(snapshot::Archive& ar);

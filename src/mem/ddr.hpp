@@ -59,12 +59,6 @@ class Ddr4Model final : public MemTiming {
     return done;
   }
 
-  /// Freshly-constructed state (data bus idle).
-  void reset() {
-    busy_until_ = 0;
-    stats_.reset();
-  }
-
   /// Snapshot traversal.
   void serialize(snapshot::Archive& ar) {
     ar.pod(busy_until_);

@@ -93,12 +93,6 @@ Cycles HyperRamModel::burst(Cycles start, u32 bytes, bool is_write) {
   return start + static_cast<Cycles>(bus_clocks) * config_.clk_div;
 }
 
-void HyperRamModel::reset() {
-  busy_until_ = 0;
-  next_refresh_ = config_.refresh_period;
-  stats_.reset();
-}
-
 void HyperRamModel::serialize(snapshot::Archive& ar) {
   ar.pod(busy_until_);
   ar.pod(next_refresh_);

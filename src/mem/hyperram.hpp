@@ -60,9 +60,6 @@ class HyperRamModel final : public MemTiming {
 
   Cycles access(Cycles now, Addr addr, u32 bytes, bool is_write) override;
 
-  /// Freshly-constructed state (device idle, refresh phase rewound).
-  void reset();
-
   /// Snapshot traversal.
   void serialize(snapshot::Archive& ar);
 

@@ -95,9 +95,6 @@ class SocBus {
   /// state is its counters.
   void serialize(snapshot::Archive& ar) { stats_.serialize(ar); }
 
-  /// Freshly-constructed state (counters only; wiring is untouched).
-  void reset() { stats_.reset(); }
-
  private:
   struct SramRegion {
     Addr base = 0;

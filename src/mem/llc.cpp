@@ -109,11 +109,6 @@ double Llc::hit_ratio() const {
                                 static_cast<double>(total);
 }
 
-void Llc::reset() {
-  tags_.reset();
-  stats_.reset();
-}
-
 void Llc::serialize(snapshot::Archive& ar) {
   tags_.serialize(ar);
   stats_.serialize(ar);

@@ -48,9 +48,6 @@ class Llc final : public MemTiming {
 
   void flush() { tags_.flush(); }
 
-  /// Freshly-constructed state (tags + stats).
-  void reset();
-
   /// Snapshot traversal.
   void serialize(snapshot::Archive& ar);
 

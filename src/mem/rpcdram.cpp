@@ -83,13 +83,6 @@ Cycles RpcDramModel::burst(Cycles start, Addr addr, u32 bytes) {
   return start + static_cast<Cycles>(bus_clocks) * config_.clk_div;
 }
 
-void RpcDramModel::reset() {
-  busy_until_ = 0;
-  next_refresh_ = config_.refresh_period;
-  open_row_.assign(config_.num_banks, -1);
-  stats_.reset();
-}
-
 void RpcDramModel::serialize(snapshot::Archive& ar) {
   ar.pod(busy_until_);
   ar.pod(next_refresh_);

@@ -48,9 +48,6 @@ class RpcDramModel final : public MemTiming {
 
   Cycles access(Cycles now, Addr addr, u32 bytes, bool is_write) override;
 
-  /// Freshly-constructed state (device idle, rows closed).
-  void reset();
-
   /// Snapshot traversal.
   void serialize(snapshot::Archive& ar);
 

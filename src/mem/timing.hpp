@@ -57,9 +57,6 @@ class SramTiming final : public MemTiming {
   /// Snapshot traversal (port occupancy is the only state).
   void serialize(snapshot::Archive& ar) { ar.pod(busy_until_); }
 
-  /// Back to an idle port (freshly-constructed state).
-  void reset() { busy_until_ = 0; }
-
  private:
   Cycles latency_;
   u32 bytes_per_cycle_;

@@ -40,9 +40,6 @@ class Udma {
   /// only state).
   void serialize(snapshot::Archive& ar) { stats_.serialize(ar); }
 
-  /// Freshly-constructed state.
-  void reset() { stats_.reset(); }
-
  private:
   bool in_l2(Addr addr, u64 bytes) const;
   bool in_dram(Addr addr, u64 bytes) const;

@@ -2,16 +2,19 @@
 
 namespace hulkv::power {
 
-EnergyReport compute_energy_factors(Cycles duration,
-                                    const ActivityFactors& factors,
-                                    const PowerModel& model,
-                                    const core::FrequencyPlan& freq) {
+EnergyReport compute_energy(const RunActivity& activity,
+                            const PowerModel& model,
+                            const core::FrequencyPlan& freq) {
   EnergyReport report;
-  if (duration == 0) return report;
+  if (activity.duration == 0) return report;
+  const double mem_busy_fraction =
+      std::min(1.0, static_cast<double>(activity.mem_busy_cycles) /
+                        static_cast<double>(activity.duration));
 
   // One simulation cycle is one SoC-domain cycle (the paper's FPGA
   // emulation samples counters in that domain).
-  report.seconds = static_cast<double>(duration) / (freq.soc_mhz * 1e6);
+  report.seconds =
+      static_cast<double>(activity.duration) / (freq.soc_mhz * 1e6);
 
   // Per-block energy: power(mW) * time(s) = mJ. Idle blocks still leak.
   const auto block_mj = [&](const BlockPower& block, double freq_mhz,
@@ -19,16 +22,16 @@ EnergyReport compute_energy_factors(Cycles duration,
     return block.power_mw(freq_mhz, alpha) * report.seconds;
   };
 
-  report.host_mj = block_mj(model.cva6, freq.host_mhz, factors.host);
+  report.host_mj = block_mj(model.cva6, freq.host_mhz, activity.host_activity);
   report.cluster_mj =
-      block_mj(model.pmca, freq.cluster_mhz, factors.cluster);
-  report.soc_mj = block_mj(model.top, freq.soc_mhz, factors.soc);
+      block_mj(model.pmca, freq.cluster_mhz, activity.cluster_activity);
+  report.soc_mj = block_mj(model.top, freq.soc_mhz, activity.soc_activity);
   report.mem_ctrl_mj =
-      block_mj(model.mem_ctrl, freq.soc_mhz, factors.mem_busy_fraction);
+      block_mj(model.mem_ctrl, freq.soc_mhz, mem_busy_fraction);
 
   double active_mw = model.lpddr4_active_mw;
   double standby_mw = model.lpddr4_standby_mw;
-  switch (factors.memory) {
+  switch (activity.memory) {
     case core::MainMemoryKind::kHyperRam:
       active_mw = model.hyperram_active_mw;
       standby_mw = model.hyperram_standby_mw;
@@ -41,28 +44,13 @@ EnergyReport compute_energy_factors(Cycles duration,
       break;  // LPDDR4 defaults
   }
   report.mem_device_mj =
-      (standby_mw + (active_mw - standby_mw) * factors.mem_busy_fraction) *
+      (standby_mw + (active_mw - standby_mw) * mem_busy_fraction) *
       report.seconds;
 
   report.total_mj = report.host_mj + report.cluster_mj + report.soc_mj +
                     report.mem_ctrl_mj + report.mem_device_mj;
   report.avg_power_mw = report.total_mj / report.seconds;
   return report;
-}
-
-EnergyReport compute_energy(const RunActivity& activity,
-                            const PowerModel& model,
-                            const core::FrequencyPlan& freq) {
-  if (activity.duration == 0) return EnergyReport{};
-  ActivityFactors factors;
-  factors.host = activity.host_activity;
-  factors.cluster = activity.cluster_activity;
-  factors.soc = activity.soc_activity;
-  factors.mem_busy_fraction =
-      std::min(1.0, static_cast<double>(activity.mem_busy_cycles) /
-                        static_cast<double>(activity.duration));
-  factors.memory = activity.memory;
-  return compute_energy_factors(activity.duration, factors, model, freq);
 }
 
 double gops(u64 ops, Cycles cycles, double freq_mhz) {

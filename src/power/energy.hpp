@@ -42,24 +42,6 @@ EnergyReport compute_energy(const RunActivity& activity,
                             const PowerModel& model,
                             const core::FrequencyPlan& freq);
 
-/// Real-valued activity factors for one interval. This is the core of
-/// compute_energy with the memory busy *fraction* already resolved;
-/// power_over_time (power_trace.hpp) evaluates it per window so the
-/// power curve integrates exactly to the whole-run energy (everything
-/// below is linear in these factors).
-struct ActivityFactors {
-  double host = 0.0;
-  double cluster = 0.0;
-  double soc = 0.5;
-  double mem_busy_fraction = 0.0;
-  core::MainMemoryKind memory = core::MainMemoryKind::kHyperRam;
-};
-
-EnergyReport compute_energy_factors(Cycles duration,
-                                    const ActivityFactors& factors,
-                                    const PowerModel& model,
-                                    const core::FrequencyPlan& freq);
-
 /// GOps delivered: `ops` operations over `cycles` of a domain running at
 /// `freq_mhz` after frequency scaling (the paper's Ops/Cycle x f).
 double gops(u64 ops, Cycles cycles, double freq_mhz);

@@ -183,11 +183,6 @@ Table& MetricsReport::add_table(std::string title,
   return tables_.back();
 }
 
-Table& MetricsReport::add_table(Table table) {
-  tables_.push_back(std::move(table));
-  return tables_.back();
-}
-
 const Value* MetricsReport::metric(const std::string& key) const {
   for (const auto& m : metrics_) {
     if (m.key == key) return &m.value;
@@ -246,17 +241,6 @@ void MetricsReport::write_json(const std::string& path) const {
   if (!out) throw SimError("cannot open report output file: " + path);
   out << to_json();
   if (!out) throw SimError("failed writing report file: " + path);
-}
-
-BenchOptions parse_bench_args(int argc, char** argv) {
-  BenchOptions options;
-  cli::Parser parser = bench_flag_parser("bench", &options);
-  // Unknown flags belong to the wrapped tool (e.g. google-benchmark);
-  // a malformed value on one of *our* flags is still a hard error.
-  if (!parser.parse(argc, argv, cli::Parser::OnUnknown::kIgnore)) {
-    throw SimError(parser.error());
-  }
-  return options;
 }
 
 BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli) {

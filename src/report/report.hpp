@@ -93,8 +93,6 @@ class MetricsReport {
   /// Append a table and return a reference for row filling. References
   /// stay valid across later add_table calls (deque storage).
   Table& add_table(std::string title, std::vector<std::string> columns);
-  /// Append an already-built table (batch::merge_reports).
-  Table& add_table(Table table);
 
   const Value* metric(const std::string& key) const;
   /// Text form of a metric for embedding in printed prose; "?" when the
@@ -138,10 +136,6 @@ struct BenchOptions {
   bool telemetry = false;
   std::string telemetry_dir;
 };
-/// Parse the shared flags, passing unknown arguments through (they
-/// belong to a wrapped tool). Throws SimError on a malformed value or a
-/// value flag without its value.
-BenchOptions parse_bench_args(int argc, char** argv);
 
 /// What a bench binary implements beyond parsing the shared flags.
 struct BenchCli {
@@ -164,8 +158,7 @@ BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli = {});
 /// The shared bench flag set as a cli::Parser over `options`, so other
 /// binaries (the serve daemon, the load generator) can stack their own
 /// flags on the same table instead of re-spelling --jobs/--json/
-/// --telemetry/--profile. parse_bench_args() is exactly this
-/// parser run with unknown flags ignored.
+/// --telemetry/--profile.
 cli::Parser bench_flag_parser(const std::string& program,
                               BenchOptions* options);
 

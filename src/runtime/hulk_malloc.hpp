@@ -58,7 +58,6 @@ class SharedRegion {
   /// User-space hulk_malloc(): contiguous, 64-byte aligned (cache line).
   Addr hulk_malloc(u64 bytes) { return arena_.alloc(bytes, 64); }
 
-  void reset() { arena_.reset(); }
   Arena& arena() { return arena_; }
 
   /// Snapshot traversal.

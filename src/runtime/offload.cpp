@@ -270,12 +270,4 @@ void OffloadRuntime::serialize(snapshot::Archive& ar) {
   }
 }
 
-void OffloadRuntime::reset() {
-  shared_.reset();
-  l2_arena_.reset();
-  tcdm_arena_.reset();
-  images_.clear();
-  names_.clear();
-}
-
 }  // namespace hulkv::runtime

@@ -131,9 +131,6 @@ class OffloadRuntime {
   /// mode/policy are host-side configuration, not guest state.
   void serialize(snapshot::Archive& ar);
 
-  /// Freshly-constructed state (arenas rewound, kernel table cleared).
-  void reset();
-
  private:
   struct Image {
     std::string name;

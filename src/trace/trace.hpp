@@ -6,10 +6,8 @@
 // off. When tracing is disabled the per-event cost at a call site is a
 // single branch on `trace::enabled()` (an inline load of a plain bool).
 //
-// Consumers:
-//   - trace/chrome_trace.hpp: Perfetto/Chrome `trace_event` JSON export,
-//   - trace/windowed.hpp:     per-N-cycles aggregation (activity curves),
-//   - power/power_trace.hpp:  power-over-time from windowed activity.
+// Consumer: trace/chrome_trace.hpp, the Perfetto/Chrome `trace_event`
+// JSON export.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +20,7 @@
 namespace hulkv::trace {
 
 /// Event taxonomy. Each value maps 1:1 onto a Chrome trace_event name
-/// (see `event_name`) and a windowed-aggregation series.
+/// (see `event_name`).
 enum class Ev : u16 {
   // Cores.
   kRun,            // complete: one host run / one PMCA kernel execution

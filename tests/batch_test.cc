@@ -1,4 +1,4 @@
-// hulkv::batch: worker pool, snapshot forking, report merging.
+// hulkv::batch: worker pool, snapshot forking, the --jobs flag.
 //
 // The determinism contract under test: results land in pre-allocated
 // index slots, so a sweep's output is identical for every worker count.
@@ -164,51 +164,20 @@ TEST(SocSnapshot, ConcurrentRestoresMatchSourceDigest) {
   for (u32 t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want) << "thread " << t;
 }
 
-TEST(MergeReports, KeepsIndexOrder) {
-  std::vector<report::MetricsReport> parts;
-  for (u32 i = 0; i < 3; ++i) {
-    report::MetricsReport part("part" + std::to_string(i));
-    part.add_metric("m" + std::to_string(i), report::Value::uinteger(i),
-                    "u");
-    part.add_note("note " + std::to_string(i));
-    report::Table t("table " + std::to_string(i), {"col"});
-    t.add_row({report::Value::uinteger(i)});
-    part.add_table(std::move(t));
-    parts.push_back(std::move(part));
-  }
-  const report::MetricsReport merged = batch::merge_reports("all", parts);
-  EXPECT_EQ(merged.name(), "all");
-  ASSERT_EQ(merged.metrics().size(), 3u);
-  ASSERT_EQ(merged.tables().size(), 3u);
-  ASSERT_EQ(merged.notes().size(), 3u);
-  for (u32 i = 0; i < 3; ++i) {
-    EXPECT_EQ(merged.metrics()[i].key, "m" + std::to_string(i));
-    EXPECT_EQ(merged.tables()[i].title(), "table " + std::to_string(i));
-    EXPECT_EQ(merged.notes()[i], "note " + std::to_string(i));
-  }
-}
-
-TEST(SweepEngine, MapReportsMergesInOrder) {
-  const report::MetricsReport merged =
-      batch::SweepEngine(2).map_reports("sweep", 4, [](u64 index) {
-        report::MetricsReport part("p");
-        part.add_metric("index", report::Value::uinteger(index));
-        return part;
-      });
-  ASSERT_EQ(merged.metrics().size(), 4u);
-  for (u64 i = 0; i < 4; ++i) {
-    EXPECT_EQ(merged.metrics()[i].value.as_double(),
-              static_cast<double>(i));
-  }
+/// --jobs as the figure benches parse it, through the shared flag table.
+u32 parsed_jobs(std::vector<const char*> argv) {
+  report::BenchOptions options;
+  cli::Parser parser = report::bench_flag_parser("bench", &options);
+  EXPECT_TRUE(parser.parse(static_cast<int>(argv.size()),
+                           const_cast<char**>(argv.data()),
+                           cli::Parser::OnUnknown::kIgnore))
+      << parser.error();
+  return options.jobs;
 }
 
 TEST(BenchOptions, ParsesJobs) {
-  const char* argv_jobs[] = {"bench", "--jobs", "7"};
-  EXPECT_EQ(report::parse_bench_args(3, const_cast<char**>(argv_jobs)).jobs,
-            7u);
-  const char* argv_plain[] = {"bench"};
-  EXPECT_EQ(
-      report::parse_bench_args(1, const_cast<char**>(argv_plain)).jobs, 0u);
+  EXPECT_EQ(parsed_jobs({"bench", "--jobs", "7"}), 7u);
+  EXPECT_EQ(parsed_jobs({"bench"}), 0u);
 }
 
 }  // namespace

@@ -150,15 +150,6 @@ TEST(CliBench, BenchFlagParserKeepsHistoricalSemantics) {
   EXPECT_TRUE(options.profile_path.empty());
 }
 
-TEST(CliBench, ParseBenchArgsMatchesParser) {
-  Argv args({"--jobs", "2", "--telemetry"});
-  const report::BenchOptions options =
-      report::parse_bench_args(args.argc(), args.argv());
-  EXPECT_EQ(options.jobs, 2u);
-  EXPECT_TRUE(options.telemetry);
-  EXPECT_TRUE(options.telemetry_dir.empty());
-}
-
 // ---------------------------------------------------------------------
 // Figure-bench command lines, each case at the default --jobs (a test
 // pinned to --jobs 1 would hide a sweep bench aborting under --profile).

@@ -69,6 +69,7 @@ TEST(SocReport, RenderSkipsZeroCounters) {
 // ---------------------------------------------------------------------
 
 #include <cmath>
+#include <vector>
 
 #include "report/report.hpp"
 
@@ -142,44 +143,50 @@ TEST(ReportMetrics, TableReferencesSurviveLaterAddTable) {
   EXPECT_EQ(rep.tables().front().rows().size(), 1u);
 }
 
+/// The shared bench flags as the benches parse them, with unknown
+/// flags (a wrapped tool's) ignored.
+BenchOptions parse(std::vector<const char*> argv) {
+  BenchOptions options;
+  cli::Parser parser = bench_flag_parser("bench", &options);
+  EXPECT_TRUE(parser.parse(static_cast<int>(argv.size()),
+                           const_cast<char**>(argv.data()),
+                           cli::Parser::OnUnknown::kIgnore))
+      << parser.error();
+  return options;
+}
+
 TEST(ReportArgs, ParsesJsonAndTraceFlagsBothSpellings) {
-  const char* argv1[] = {"bench", "--json", "out.json", "--trace=t.json",
-                         "--benchmark_filter=foo"};
-  const BenchOptions a =
-      parse_bench_args(5, const_cast<char**>(argv1));
+  const BenchOptions a = parse({"bench", "--json", "out.json",
+                                "--trace=t.json", "--benchmark_filter=foo"});
   EXPECT_EQ(a.json_path, "out.json");
   EXPECT_EQ(a.trace_path, "t.json");
 
-  const char* argv2[] = {"bench", "--json=x.json"};
-  const BenchOptions b = parse_bench_args(2, const_cast<char**>(argv2));
+  const BenchOptions b = parse({"bench", "--json=x.json"});
   EXPECT_EQ(b.json_path, "x.json");
   EXPECT_TRUE(b.trace_path.empty());
 }
 
 TEST(ReportArgs, ParsesTelemetryFlagBothSpellings) {
   // Bare form: enabled, default directory (empty = "runs").
-  const char* argv1[] = {"bench", "--telemetry"};
-  const BenchOptions a = parse_bench_args(2, const_cast<char**>(argv1));
+  const BenchOptions a = parse({"bench", "--telemetry"});
   EXPECT_TRUE(a.telemetry);
   EXPECT_TRUE(a.telemetry_dir.empty());
 
   // = form carries the output directory.
-  const char* argv2[] = {"bench", "--telemetry=out/runs"};
-  const BenchOptions b = parse_bench_args(2, const_cast<char**>(argv2));
+  const BenchOptions b = parse({"bench", "--telemetry=out/runs"});
   EXPECT_TRUE(b.telemetry);
   EXPECT_EQ(b.telemetry_dir, "out/runs");
 
   // Default: off.
-  const char* argv3[] = {"bench"};
-  const BenchOptions c = parse_bench_args(1, const_cast<char**>(argv3));
+  const BenchOptions c = parse({"bench"});
   EXPECT_FALSE(c.telemetry);
 }
 
 TEST(ReportArgs, BareTelemetryDoesNotConsumeNextArg) {
   // Like --profile, the optional value only binds with '=': a bare
   // --telemetry followed by another flag must leave that flag intact.
-  const char* argv[] = {"bench", "--telemetry", "--json", "out.json"};
-  const BenchOptions o = parse_bench_args(4, const_cast<char**>(argv));
+  const BenchOptions o =
+      parse({"bench", "--telemetry", "--json", "out.json"});
   EXPECT_TRUE(o.telemetry);
   EXPECT_TRUE(o.telemetry_dir.empty());
   EXPECT_EQ(o.json_path, "out.json");

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -498,55 +499,69 @@ TEST(TelemetryManifest, AppendManifestAccumulatesJsonLines) {
 }
 
 // ---------------------------------------------------------------------
-// Sweep statistics (TSan-covered via the SweepEngine suite name).
+// Sweep statistics (TSan-covered via the SweepEngine suite name): each
+// run_jobs drain reaches the registry as one SweepSummary.
+
+/// The summaries `fn`'s run_jobs drains hand the registry.
+std::vector<SweepSummary> sweeps_of(const std::function<void()>& fn) {
+  registry().reset();
+  registry().enable();
+  fn();
+  std::vector<SweepSummary> sweeps = registry().sweeps();
+  registry().reset();
+  registry().disable();
+  return sweeps;
+}
 
 TEST(SweepEngineStats, SerialRunJobsMeasuresEveryJob) {
   std::atomic<u64> ran{0};
-  batch::run_jobs(5, 1, [&](u64) { ran.fetch_add(1); });
+  const std::vector<SweepSummary> sweeps = sweeps_of(
+      [&] { batch::run_jobs(5, 1, [&](u64) { ran.fetch_add(1); }); });
   EXPECT_EQ(ran.load(), 5u);
-  const batch::SweepStats& stats = batch::last_sweep_stats();
+  ASSERT_EQ(sweeps.size(), 1u);
+  const SweepSummary& stats = sweeps[0];
   EXPECT_EQ(stats.jobs, 5u);
   EXPECT_EQ(stats.workers, 1u);
-  EXPECT_EQ(stats.latency.count(), 5u);
+  EXPECT_LE(stats.p50_ns, stats.p99_ns);
   EXPECT_GT(stats.wall_ns, 0u);
   EXPECT_GT(stats.busy_ns, 0u);
   EXPECT_EQ(stats.max_in_flight, 1u);  // serial: never concurrent
-  ASSERT_EQ(stats.in_flight_samples.size(), 5u);
-  for (const u64 depth : stats.in_flight_samples) EXPECT_EQ(depth, 1u);
 }
 
 TEST(SweepEngineStats, ParallelRunJobsBoundsInFlightByWorkers) {
   constexpr u64 kJobs = 32;
   constexpr u32 kWorkers = 4;
   std::atomic<u64> ran{0};
-  batch::run_jobs(kJobs, kWorkers, [&](u64) { ran.fetch_add(1); });
+  const std::vector<SweepSummary> sweeps = sweeps_of([&] {
+    batch::run_jobs(kJobs, kWorkers, [&](u64) { ran.fetch_add(1); });
+  });
   EXPECT_EQ(ran.load(), kJobs);
-  const batch::SweepStats& stats = batch::last_sweep_stats();
+  ASSERT_EQ(sweeps.size(), 1u);
+  const SweepSummary& stats = sweeps[0];
   EXPECT_EQ(stats.jobs, kJobs);
   EXPECT_EQ(stats.workers, kWorkers);
-  EXPECT_EQ(stats.latency.count(), kJobs);
+  EXPECT_LE(stats.p50_ns, stats.p99_ns);
   EXPECT_GE(stats.max_in_flight, 1u);
   EXPECT_LE(stats.max_in_flight, kWorkers);
-  EXPECT_GT(stats.utilization(), 0.0);
-  ASSERT_EQ(stats.in_flight_samples.size(), kJobs);
-  for (const u64 depth : stats.in_flight_samples) {
-    EXPECT_GE(depth, 1u);
-    EXPECT_LE(depth, kWorkers);
-  }
+  EXPECT_GT(stats.utilization, 0.0);
 }
 
 TEST(SweepEngineStats, StatsReportCarriesHeadlineMetrics) {
   const batch::SweepEngine engine(2);
-  const std::vector<int> out =
-      engine.map<int>(6, [](u64 index) { return static_cast<int>(index); });
+  std::vector<int> out;
+  const std::vector<SweepSummary> sweeps = sweeps_of([&] {
+    out = engine.map<int>(6, [](u64 index) { return static_cast<int>(index); });
+  });
   EXPECT_EQ(out.size(), 6u);
-  const report::MetricsReport rep = engine.stats_report("sweep_stats");
-  for (const char* key :
-       {"sweep.jobs", "sweep.jobs_per_s", "sweep.latency_p50",
-        "sweep.latency_p99", "sweep.utilization", "sweep.max_in_flight"}) {
-    EXPECT_NE(rep.metric(key), nullptr) << key;
-  }
-  EXPECT_EQ(rep.metric_text("sweep.jobs"), "6");
+  ASSERT_EQ(sweeps.size(), 1u);
+  const SweepSummary& stats = sweeps[0];
+  EXPECT_EQ(stats.jobs, 6u);
+  EXPECT_EQ(stats.workers, 2u);
+  EXPECT_GT(stats.jobs_per_s, 0.0);
+  EXPECT_GT(stats.utilization, 0.0);
+  EXPECT_LE(stats.p50_ns, stats.p99_ns);
+  EXPECT_GE(stats.max_in_flight, 1u);
+  EXPECT_LE(stats.max_in_flight, 2u);
 }
 
 TEST(SweepEngineStats, SweepSummaryReachesTelemetryRegistry) {
@@ -563,11 +578,13 @@ TEST(SweepEngineStats, SweepSummaryReachesTelemetryRegistry) {
 }
 
 TEST(SweepEngineStats, EmptyRunClearsLastStats) {
-  batch::run_jobs(3, 1, [](u64) {});
-  EXPECT_EQ(batch::last_sweep_stats().jobs, 3u);
-  batch::run_jobs(0, 4, [](u64) { FAIL() << "no jobs expected"; });
-  EXPECT_EQ(batch::last_sweep_stats().jobs, 0u);
-  EXPECT_EQ(batch::last_sweep_stats().latency.count(), 0u);
+  // A drain with no jobs adds no summary; the one before it stands.
+  const std::vector<SweepSummary> sweeps = sweeps_of([] {
+    batch::run_jobs(3, 1, [](u64) {});
+    batch::run_jobs(0, 4, [](u64) { FAIL() << "no jobs expected"; });
+  });
+  ASSERT_EQ(sweeps.size(), 1u);
+  EXPECT_EQ(sweeps[0].jobs, 3u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // hulkv::trace: sink semantics, cycle parity with tracing off/on,
-// Perfetto/Chrome export well-formedness, windowed aggregation vs
-// StatGroup totals, and the power-over-time energy integral.
+// Perfetto/Chrome export well-formedness, and event totals vs
+// StatGroup totals.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -16,11 +16,9 @@
 #include "kernels/cluster_kernels.hpp"
 #include "kernels/host_kernels.hpp"
 #include "kernels/kernel.hpp"
-#include "power/power_trace.hpp"
 #include "runtime/offload.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
-#include "trace/windowed.hpp"
 
 namespace hulkv {
 namespace {
@@ -109,44 +107,6 @@ TEST(TraceSink, XactArgRoundTrips) {
   EXPECT_EQ(back.write, arg.write);
   EXPECT_EQ(back.bursts, arg.bursts);
   EXPECT_EQ(back.refresh_collisions, arg.refresh_collisions);
-}
-
-// ---------------------------------------------------------------------
-// Windowed aggregation (synthetic)
-// ---------------------------------------------------------------------
-
-TEST(Windowed, SplitsDurationsAcrossWindowBoundaries) {
-  TraceGuard guard;
-  auto& sink = trace::sink();
-  const u32 track = sink.track("t");
-  sink.complete(track, trace::Ev::kRun, 500, 1500);
-  const trace::Windowed agg = trace::aggregate(sink, 400);
-  ASSERT_EQ(agg.num_windows, 4u);
-  const trace::Series* s = agg.series(track, trace::Ev::kRun);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->busy[0], 0u);
-  EXPECT_EQ(s->busy[1], 300u);  // [500, 800)
-  EXPECT_EQ(s->busy[2], 400u);  // [800, 1200)
-  EXPECT_EQ(s->busy[3], 300u);  // [1200, 1500)
-  EXPECT_EQ(agg.total_busy(track, trace::Ev::kRun), 1000u);
-  EXPECT_EQ(agg.total_count(track, trace::Ev::kRun), 1u);
-}
-
-TEST(Windowed, ClipsBeyondSpanAndMergesTracks) {
-  TraceGuard guard;
-  auto& sink = trace::sink();
-  const u32 a = sink.track("a");
-  const u32 b = sink.track("b");
-  sink.complete(a, trace::Ev::kMemXact, 0, 150);
-  sink.complete(b, trace::Ev::kMemXact, 50, 250);
-  sink.instant(a, trace::Ev::kMiss, 999);  // beyond span: ignored
-  const trace::Windowed agg = trace::aggregate(sink, 100, 200);
-  EXPECT_EQ(agg.num_windows, 2u);
-  const std::vector<Cycles> merged =
-      agg.busy_across({a, b}, trace::Ev::kMemXact);
-  EXPECT_EQ(merged[0], 150u);  // 100 (a) + 50 (b)
-  EXPECT_EQ(merged[1], 150u);  // 50 (a) + 100 (b, clipped at 200)
-  EXPECT_EQ(agg.total_count(a, trace::Ev::kMiss), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -343,44 +303,62 @@ TEST(TraceCoverage, OffloadRunCoversSocTracksWithEnoughEvents) {
 }
 
 // ---------------------------------------------------------------------
-// Windowed totals == StatGroup totals (unbatched event classes, plus
-// the batched commit stream which is flushed at run boundaries)
+// Event totals == StatGroup totals (unbatched event classes, plus the
+// batched commit stream which is flushed at run boundaries)
 // ---------------------------------------------------------------------
+
+/// Event count, summed values and summed durations of one (track, type).
+struct EventTotals {
+  u64 count = 0;
+  u64 value = 0;
+  Cycles busy = 0;
+};
+
+EventTotals totals(const trace::TraceSink& sink, u32 track, trace::Ev type) {
+  EventTotals t;
+  for (const trace::Event& e : sink.events()) {
+    if (e.track != track || e.type != type) continue;
+    ++t.count;
+    t.value += e.value;
+    t.busy += e.dur;
+  }
+  return t;
+}
 
 TEST(TraceTotals, WindowedSumsMatchStatCounters) {
   TraceGuard guard;
   const WorkloadResult run = run_offload_workload();
   auto& sink = trace::sink();
-  const trace::Windowed agg = trace::aggregate(sink, 1024);
 
   const u32 llc = sink.find_track("llc");
   ASSERT_NE(llc, trace::kNoTrack);
-  EXPECT_EQ(agg.total_count(llc, trace::Ev::kHit), run.llc_hits);
-  EXPECT_EQ(agg.total_count(llc, trace::Ev::kMiss), run.llc_misses);
+  EXPECT_EQ(totals(sink, llc, trace::Ev::kHit).count, run.llc_hits);
+  EXPECT_EQ(totals(sink, llc, trace::Ev::kMiss).count, run.llc_misses);
 
   const u32 tcdm = sink.find_track("tcdm");
   ASSERT_NE(tcdm, trace::kNoTrack);
-  EXPECT_EQ(agg.total_count(tcdm, trace::Ev::kConflict),
+  EXPECT_EQ(totals(sink, tcdm, trace::Ev::kConflict).count,
             run.tcdm_conflicts);
 
   const u32 hyper = sink.find_track("hyperram");
   ASSERT_NE(hyper, trace::kNoTrack);
-  EXPECT_EQ(agg.total_value(hyper, trace::Ev::kMemXact), run.hyper_bytes);
-  EXPECT_EQ(agg.total_busy(hyper, trace::Ev::kMemXact), run.hyper_busy);
+  const EventTotals xacts = totals(sink, hyper, trace::Ev::kMemXact);
+  EXPECT_EQ(xacts.value, run.hyper_bytes);
+  EXPECT_EQ(xacts.busy, run.hyper_busy);
 
-  // Commit batches flush at run/kernel boundaries, so the windowed sum
-  // equals retired instructions exactly.
+  // Commit batches flush at run/kernel boundaries, so their sum equals
+  // retired instructions exactly.
   const u32 cva6 = sink.find_track("cva6");
   ASSERT_NE(cva6, trace::kNoTrack);
-  EXPECT_EQ(agg.total_value(cva6, trace::Ev::kCommitBatch),
+  EXPECT_EQ(totals(sink, cva6, trace::Ev::kCommitBatch).value,
             run.host_instret);
-  EXPECT_EQ(agg.total_value(cva6, trace::Ev::kRun), run.host_instret);
+  EXPECT_EQ(totals(sink, cva6, trace::Ev::kRun).value, run.host_instret);
 
   u64 pmca_commits = 0;
   for (int c = 0; c < 8; ++c) {
     const u32 track = sink.find_track("pmca_core" + std::to_string(c));
     ASSERT_NE(track, trace::kNoTrack);
-    pmca_commits += agg.total_value(track, trace::Ev::kCommitBatch);
+    pmca_commits += totals(sink, track, trace::Ev::kCommitBatch).value;
   }
   EXPECT_EQ(pmca_commits, run.cluster_instret);
 }
@@ -522,73 +500,6 @@ TEST(ChromeTrace, EmptySinkStillProducesValidJson) {
   std::ostringstream os;
   trace::write_chrome_trace(os, trace::sink());
   EXPECT_TRUE(JsonValidator(os.str()).valid());
-}
-
-// ---------------------------------------------------------------------
-// Power over time: the curve integrates to the whole-run energy
-// ---------------------------------------------------------------------
-
-TEST(PowerTrace, EnergyIntegralMatchesWholeRunToTenthPercent) {
-  TraceGuard guard;
-  const WorkloadResult run = run_offload_workload();
-
-  power::RunActivity activity;
-  activity.duration = run.end_time;
-  activity.host_activity = 0.37;
-  activity.cluster_activity = 0.91;
-  activity.soc_activity = 0.5;
-  activity.mem_busy_cycles = run.hyper_busy;
-  activity.memory = core::MainMemoryKind::kHyperRam;
-
-  const power::PowerModel model;
-  const core::FrequencyPlan freq;
-  const power::EnergyReport whole =
-      power::compute_energy(activity, model, freq);
-  ASSERT_GT(whole.total_mj, 0.0);
-
-  for (const Cycles window :
-       {Cycles{777}, Cycles{4096}, Cycles{65536}, run.end_time}) {
-    const auto samples = power::power_over_time(trace::sink(), activity,
-                                                model, freq, window);
-    Cycles covered = 0;
-    double integral_mj = 0;
-    Cycles expect_start = 0;
-    for (const auto& s : samples) {
-      EXPECT_EQ(s.start, expect_start);
-      expect_start += s.duration;
-      covered += s.duration;
-      integral_mj += s.energy_mj;
-      EXPECT_GE(s.total_mw, 0.0);
-    }
-    EXPECT_EQ(covered, activity.duration) << "window " << window;
-    EXPECT_NEAR(integral_mj, whole.total_mj, whole.total_mj * 1e-3)
-        << "window " << window;
-  }
-}
-
-TEST(PowerTrace, UniformFallbackWithoutTraceActivity) {
-  // No trace events at all: every window falls back to the whole-run
-  // activity factors and the integral still matches.
-  TraceGuard guard;
-  power::RunActivity activity;
-  activity.duration = 10000;
-  activity.host_activity = 0.8;
-  activity.cluster_activity = 0.2;
-  activity.mem_busy_cycles = 2500;
-
-  const power::PowerModel model;
-  const core::FrequencyPlan freq;
-  const power::EnergyReport whole =
-      power::compute_energy(activity, model, freq);
-  const auto samples =
-      power::power_over_time(trace::sink(), activity, model, freq, 3000);
-  ASSERT_EQ(samples.size(), 4u);
-  EXPECT_EQ(samples.back().duration, 1000u);  // partial tail window
-  double integral_mj = 0;
-  for (const auto& s : samples) integral_mj += s.energy_mj;
-  EXPECT_NEAR(integral_mj, whole.total_mj, whole.total_mj * 1e-9);
-  // Uniform activity: constant power across windows.
-  EXPECT_NEAR(samples[0].total_mw, samples[1].total_mw, 1e-9);
 }
 
 }  // namespace
