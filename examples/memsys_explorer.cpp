@@ -8,13 +8,15 @@
 // grid order, so the output is identical for every worker count.
 //
 // Usage: memsys_explorer [stride_bytes] [--jobs N]   (default 128,
-// hardware concurrency)
+// hardware concurrency). A bad argument exits 2 with a message.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "batch/batch.hpp"
+#include "common/cli.hpp"
 #include "core/soc.hpp"
 #include "kernels/iot_benchmarks.hpp"
 
@@ -22,9 +24,61 @@ using namespace hulkv;
 
 namespace {
 
+/// Reads per sweep point: `host_stride_reads(stride, kReads, ...)`.
+constexpr u32 kReads = 1024;
+
+/// Parse `[stride_bytes] [--jobs N]`. Returns the usage error, or ""
+/// when every argument is valid.
+std::string parse_args(int argc, char** argv, u32* stride, u32* jobs) {
+  cli::Parser parser("memsys_explorer");
+  parser.add_u32("--jobs", jobs,
+                 "sweep worker count (0 = hardware concurrency)");
+  // The one positional argument is the stride; the rest go to the
+  // parser, which rejects unknown flags and malformed values.
+  std::vector<char*> flags = {argv[0]};
+  const char* stride_arg = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--jobs" && i + 1 < argc) {
+      flags.push_back(argv[i]);
+      flags.push_back(argv[++i]);
+    } else if (arg.starts_with("-")) {
+      flags.push_back(argv[i]);
+    } else if (stride_arg == nullptr) {
+      stride_arg = argv[i];
+    } else {
+      return "memsys_explorer: unexpected argument \"" + arg + "\"";
+    }
+  }
+  if (!parser.parse(static_cast<int>(flags.size()), flags.data())) {
+    return parser.error();
+  }
+  if (stride_arg == nullptr) return "";
+  const std::string text = stride_arg;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long value = std::strtoul(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno != 0 || value > ~u32{0}) {
+    return "memsys_explorer: stride_bytes expects an unsigned integer, "
+           "got \"" + text + "\"";
+  }
+  if (value % 4 != 0) {
+    return "memsys_explorer: stride_bytes " + text +
+           " is not a multiple of 4 (the reads are 32-bit words)";
+  }
+  if (value * kReads > core::layout::kSharedSize) {
+    return "memsys_explorer: stride_bytes " + text + " makes " +
+           std::to_string(kReads) +
+           " reads span more than the shared DRAM region (" +
+           std::to_string(core::layout::kSharedSize) + " B)";
+  }
+  *stride = static_cast<u32>(value);
+  return "";
+}
+
 Cycles run(const core::SocConfig& cfg, u32 stride) {
   core::HulkVSoc soc(cfg);
-  const auto prog = kernels::host_stride_reads(stride, 1024, 10);
+  const auto prog = kernels::host_stride_reads(stride, kReads, 10);
   return kernels::run_host_program(soc, prog.words,
                                    std::array<u64, 1>{
                                        core::layout::kSharedBase})
@@ -44,14 +98,12 @@ std::vector<Cycles> sweep(const batch::SweepEngine& engine,
 int main(int argc, char** argv) {
   u32 stride = 128;
   u32 jobs = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = static_cast<u32>(std::atoi(argv[i] + 7));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<u32>(std::atoi(argv[++i]));
-    } else {
-      stride = static_cast<u32>(std::atoi(argv[i]));
-    }
+  const std::string error = parse_args(argc, argv, &stride, &jobs);
+  if (!error.empty()) {
+    std::fprintf(stderr,
+                 "%s\nusage: memsys_explorer [stride_bytes] [--jobs N]\n",
+                 error.c_str());
+    return 2;
   }
   const batch::SweepEngine engine(jobs);
   std::printf("HULK-V memory-system explorer, stride %u B "

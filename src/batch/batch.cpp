@@ -151,9 +151,8 @@ SocSnapshot SocSnapshot::capture(
     core::HulkVSoc& soc, const core::HulkVSoc::SectionWriterFn& extra) {
   std::ostringstream os(std::ios::binary);
   soc.save(os, extra);
-  const std::string blob = os.str();
   SocSnapshot snap;
-  snap.bytes_.assign(blob.begin(), blob.end());
+  snap.bytes_ = std::move(os).str();
   return snap;
 }
 
@@ -162,7 +161,9 @@ void SocSnapshot::restore_into(
   HULKV_CHECK(!bytes_.empty(), "restore from an empty SocSnapshot");
   // No checksum pass: capture() is the only source of bytes_, and its
   // Writer computed the trailer over exactly these bytes.
-  soc.restore(snapshot::Reader(bytes_.data(), bytes_.size()), extra);
+  soc.restore(snapshot::Reader(reinterpret_cast<const u8*>(bytes_.data()),
+                               bytes_.size()),
+              extra);
 }
 
 }  // namespace hulkv::batch

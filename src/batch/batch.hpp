@@ -66,12 +66,11 @@ class SocSnapshot {
                     const core::HulkVSoc::SectionReaderFn& extra =
                         nullptr) const;
 
-  const std::vector<u8>& bytes() const { return bytes_; }
   u64 size_bytes() const { return bytes_.size(); }
   bool empty() const { return bytes_.empty(); }
 
  private:
-  std::vector<u8> bytes_;
+  std::string bytes_;  // the stream buffer capture() wrote, moved in
 };
 
 /// The sweep driver benches use: map a function over a parameter grid

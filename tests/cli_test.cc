@@ -273,6 +273,30 @@ TEST(ExampleCli, OffloadMatmulUsageErrorsExitTwoWithMessage) {
   }
 }
 
+// memsys_explorer takes [stride_bytes] [--jobs N]; anything else exits 2
+// with a message naming the bad argument, before any SoC is built.
+TEST(ExampleCli, MemsysExplorerUsageErrorsExitTwoWithMessage) {
+  const std::string binary =
+      std::string(HULKV_EXAMPLES_DIR) + "/memsys_explorer";
+  // (arguments, text the message must name)
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--bogus", "--bogus"},
+      {"128 --jobs abc", "--jobs"},
+      {"128 --jobs", "--jobs"},
+      {"abc", "\"abc\""},
+      {"6", "stride_bytes 6"},
+      {"40000000", "stride_bytes 40000000"},
+      {"128 256", "\"256\""},
+  };
+  for (const auto& [args, names] : cases) {
+    const Outcome o = run_binary(binary, args);
+    EXPECT_EQ(o.rc, 2) << args << "\n" << o.err;
+    EXPECT_NE(o.err.find(names), std::string::npos) << args << "\n" << o.err;
+    EXPECT_NE(o.err.find("usage: memsys_explorer"), std::string::npos)
+        << args << "\n" << o.err;
+  }
+}
+
 TEST(ExampleCli, OffloadMatmulListedFlagsWriteTheirFiles) {
   const std::string binary =
       std::string(HULKV_EXAMPLES_DIR) + "/offload_matmul";

@@ -1061,4 +1061,30 @@ TEST(ServeDaemon, SigtermOnBusyServerFlushesManifestAndExitsZero) {
   ASSERT_EQ(system(cmd.c_str()), 0);
 }
 
+// ---------------------------------------------------------------------
+// The tools' command lines: an unknown flag exits 2, and the error line
+// names the program once.
+
+TEST(ServeCli, UnknownFlagExitsTwoNamingTheProgramOnce) {
+  for (const std::string tool : {"hulkv-serve", "hulkv-loadgen"}) {
+    const std::string cmd =
+        std::string(HULKV_TOOLS_DIR) + "/" + tool + " --bogus 2>&1";
+    FILE* pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << tool;
+    std::string out;
+    char buf[4096];
+    size_t n = 0;
+    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) out.append(buf, n);
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << tool << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << tool << "\n" << out;
+    // The first line is the error; the usage text follows it.
+    const std::string error = out.substr(0, out.find('\n'));
+    EXPECT_NE(error.find("--bogus"), std::string::npos) << error;
+    const size_t first = error.find(tool);
+    ASSERT_NE(first, std::string::npos) << error;
+    EXPECT_EQ(error.find(tool, first + 1), std::string::npos) << error;
+  }
+}
+
 }  // namespace

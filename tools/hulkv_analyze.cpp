@@ -16,11 +16,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "common/hex.hpp"
 #include "isa/disasm.hpp"
 #include "kernels/corpus.hpp"
 
@@ -38,12 +38,6 @@ int usage() {
   return 2;
 }
 
-std::string hex(u64 v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << v;
-  return os.str();
-}
-
 /// Per-program detail: report, block fact table, function summaries.
 void print_detail(const kernels::CorpusResult& r) {
   const analysis::Report& rep = r.analysis.report;
@@ -57,7 +51,8 @@ void print_detail(const kernels::CorpusResult& r) {
               facts.eligible_blocks());
   for (const analysis::BlockFacts& b : facts.blocks) {
     std::printf("  [%s, %s) min_cycles=%u%s%s%s%s%s footprint=%s\n",
-                hex(b.start).c_str(), hex(b.end).c_str(), b.min_cycles,
+                ("0x" + hex(b.start)).c_str(), ("0x" + hex(b.end)).c_str(),
+                b.min_cycles,
                 b.reachable ? "" : " unreachable",
                 b.may_access_memory ? " mem" : "",
                 b.may_ecall ? " ecall" : "", b.pure ? " pure" : "",
@@ -70,7 +65,7 @@ void print_detail(const kernels::CorpusResult& r) {
   for (const analysis::FuncSummary& f : facts.functions) {
     std::printf("  %s: %zu block(s), %zu callee(s)%s%s%s%s%s "
                 "footprint=%s\n",
-                hex(f.entry).c_str(), f.blocks.size(),
+                ("0x" + hex(f.entry)).c_str(), f.blocks.size(),
                 f.callees.size(), f.recursive ? " recursive" : "",
                 f.has_indirect_call ? " indirect-call" : "",
                 f.may_access_memory ? " mem" : "",

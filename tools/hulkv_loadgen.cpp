@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
                  "also run N local cold-boot points for comparison");
   parser.add_flag("--help", &help, "show this help");
   if (!parser.parse(argc, argv)) {
-    std::fprintf(stderr, "hulkv-loadgen: %s\n%s", parser.error().c_str(),
+    std::fprintf(stderr, "%s\n%s", parser.error().c_str(),
                  parser.usage().c_str());
     return 2;
   }

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                     "slow-request log file (default: stderr)");
   parser.add_flag("--help", &help, "show this help");
   if (!parser.parse(argc, argv)) {
-    std::fprintf(stderr, "hulkv-serve: %s\n%s", parser.error().c_str(),
+    std::fprintf(stderr, "%s\n%s", parser.error().c_str(),
                  parser.usage().c_str());
     return 2;
   }
