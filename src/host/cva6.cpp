@@ -87,42 +87,33 @@ void Cva6Core::advance_to(Cycles cycle) {
   if (cycle > cycle_) cycle_ = cycle;
 }
 
-bool Cva6Core::dram_cached(Addr addr) const {
-  return addr >= mem::map::kDramBase;
-}
-
-void Cva6Core::fetch_timing(Addr pc) {
-  // I-cache timing: pay once per line entered.
-  const Addr line = align_down(pc, config_.icache.line_bytes);
-  if (line != fetch_line_) {
-    fetch_line_ = line;
-    if (itlb_ && dram_cached(pc)) {
-      // The whole walk — including its PTE reads through the L1D path —
-      // is one stall to the profiler, so nested attribution is muted.
-      const Cycles walk_start = cycle_;
-      {
-        const profile::SuppressGuard mute;
-        cycle_ = itlb_->translate(cycle_, pc);
-      }
-      profile::add(profile::Reason::kHostTlbWalk, cycle_ - walk_start);
-    }
-    cycle_ = icache_.access(cycle_, pc, 4, /*is_write=*/false);
+void Cva6Core::tlb_walk(Tlb& tlb, Addr addr) {
+  // The whole walk — including its PTE reads through the L1D path — is
+  // one stall to the profiler, so nested attribution is muted.
+  const Cycles walk_start = cycle_;
+  {
+    const profile::SuppressGuard mute;
+    cycle_ = tlb.translate(cycle_, addr);
   }
+  profile::add(profile::Reason::kHostTlbWalk, cycle_ - walk_start);
 }
 
-u64 Cva6Core::load(Addr addr, u32 bytes, bool sign) {
+void Cva6Core::fetch_new_line(Addr pc) {
+  fetch_line_ = align_down(pc, config_.icache.line_bytes);
+  if (itlb_ && dram_cached(pc)) tlb_walk(*itlb_, pc);
+  cycle_ = icache_.access(cycle_, pc, 4, /*is_write=*/false);
+}
+
+// Inlined into each load and store handler (below), where `bytes` is a
+// constant: the backing-store copy becomes one move and an L1 hit a few
+// compares (CacheModel::access is inline).
+[[gnu::always_inline]] inline u64 Cva6Core::load(Addr addr, u32 bytes,
+                                                 bool sign) {
   u64 value = 0;
   ctr_loads_ += 1;
   const Cycles issue = cycle_;
   if (dram_cached(addr)) {
-    if (dtlb_) {
-      const Cycles walk_start = cycle_;
-      {
-        const profile::SuppressGuard mute;
-        cycle_ = dtlb_->translate(cycle_, addr);
-      }
-      profile::add(profile::Reason::kHostTlbWalk, cycle_ - walk_start);
-    }
+    if (dtlb_) tlb_walk(*dtlb_, addr);
     if (addr + bytes <= mem::map::kDramBase + mem::map::kDramSize) {
       dram_->read(addr, &value, bytes);  // page-pointer fast path
     } else {
@@ -147,17 +138,11 @@ u64 Cva6Core::load(Addr addr, u32 bytes, bool sign) {
   return value;
 }
 
-void Cva6Core::store(Addr addr, u64 value, u32 bytes) {
+[[gnu::always_inline]] inline void Cva6Core::store(Addr addr, u64 value,
+                                                   u32 bytes) {
   ctr_stores_ += 1;
   if (dram_cached(addr)) {
-    if (dtlb_) {
-      const Cycles walk_start = cycle_;
-      {
-        const profile::SuppressGuard mute;
-        cycle_ = dtlb_->translate(cycle_, addr);
-      }
-      profile::add(profile::Reason::kHostTlbWalk, cycle_ - walk_start);
-    }
+    if (dtlb_) tlb_walk(*dtlb_, addr);
     if (addr + bytes <= mem::map::kDramBase + mem::map::kDramSize) {
       dram_->write(addr, &value, bytes);  // page-pointer fast path
     } else {

@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/bitutil.hpp"
 #include "common/stats.hpp"
 #include "isa/block_cache.hpp"
 #include "isa/decoder.hpp"
@@ -175,12 +176,20 @@ class Cva6Core {
   void observe_retire(profile::CoreProfile* prof,
                       const isa::DecodedBlock& block, size_t index);
   /// I-cache (+ITLB) timing for a fetch at `pc`: paid once per line.
-  void fetch_timing(Addr pc);
+  void fetch_timing(Addr pc) {
+    if (align_down(pc, config_.icache.line_bytes) != fetch_line_) {
+      fetch_new_line(pc);
+    }
+  }
+  void fetch_new_line(Addr pc);
+  /// A TLB translation of `addr` at cycle_, booked as one walk stall.
+  void tlb_walk(Tlb& tlb, Addr addr);
 
-  // Memory helpers (functional + timing).
+  // Memory helpers (functional + timing). cva6.cpp inlines load and
+  // store into each handler, so `bytes` is a constant there.
   u64 load(Addr addr, u32 bytes, bool sign);
   void store(Addr addr, u64 value, u32 bytes);
-  bool dram_cached(Addr addr) const;
+  bool dram_cached(Addr addr) const { return addr >= mem::map::kDramBase; }
 
   u64 csr_read(u16 csr) const;
 

@@ -19,35 +19,6 @@ SetAssocTags::SetAssocTags(u32 num_sets, u32 num_ways, u32 line_bytes)
   ways_.resize(static_cast<size_t>(num_sets) * num_ways);
 }
 
-u32 SetAssocTags::set_index(Addr addr) const {
-  return static_cast<u32>((addr >> line_shift_) & (num_sets_ - 1));
-}
-
-u64 SetAssocTags::tag_of(Addr addr) const { return addr >> tag_shift_; }
-
-SetAssocTags::Way* SetAssocTags::find(Addr addr) {
-  const u64 tag = tag_of(addr);
-  Way* base = &ways_[static_cast<size_t>(set_index(addr)) * num_ways_];
-  for (u32 w = 0; w < num_ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) return &base[w];
-  }
-  return nullptr;
-}
-
-const SetAssocTags::Way* SetAssocTags::find(Addr addr) const {
-  return const_cast<SetAssocTags*>(this)->find(addr);
-}
-
-bool SetAssocTags::lookup(Addr addr) {
-  if (Way* way = find(addr)) {
-    way->lru = ++use_clock_;
-    return true;
-  }
-  return false;
-}
-
-bool SetAssocTags::probe(Addr addr) const { return find(addr) != nullptr; }
-
 SetAssocTags::Victim SetAssocTags::fill(Addr addr) {
   Victim victim;
   Way* base = &ways_[static_cast<size_t>(set_index(addr)) * num_ways_];
@@ -80,11 +51,6 @@ void SetAssocTags::mark_dirty(Addr addr) {
   Way* way = find(addr);
   HULKV_CHECK(way != nullptr, "mark_dirty on absent line");
   way->dirty = true;
-}
-
-bool SetAssocTags::line_dirty(Addr addr) const {
-  const Way* way = find(addr);
-  return way != nullptr && way->dirty;
 }
 
 void SetAssocTags::flush() {
@@ -141,42 +107,22 @@ void CacheModel::trace_hit(Cycles now) {
   pending_hits_ = 0;
 }
 
-Cycles CacheModel::access(Cycles now, Addr addr, u32 bytes, bool is_write) {
-  // Split accesses that straddle a line boundary (rare; the ISS only
-  // issues naturally aligned scalar accesses, but the DMA engines may not).
-  const Addr first_line = tags_.line_of(addr);
+Cycles CacheModel::access_lines(Cycles now, Addr addr, u32 bytes,
+                                bool is_write) {
+  // Rare: the ISS only issues naturally aligned scalar accesses, but the
+  // DMA engines may not.
   const Addr last_line = tags_.line_of(addr + bytes - 1);
   Cycles done = now;
-  for (Addr line = first_line; line <= last_line;
+  for (Addr line = tags_.line_of(addr); line <= last_line;
        line += config_.line_bytes) {
     done = access_line(done, line, is_write);
   }
   return done;
 }
 
-Cycles CacheModel::access_line(Cycles now, Addr line_addr, bool is_write) {
-  (is_write ? ctr_writes_ : ctr_reads_) += 1;
-  const bool hit = tags_.lookup(line_addr);
+void CacheModel::mark_dirty(SetAssocTags::Way& way) { way.dirty = true; }
 
-  if (hit) {
-    ctr_hits_ += 1;
-    if (trace::enabled()) trace_hit(now);
-    if (is_write) {
-      if (config_.write_through) {
-        // Forward the word to the next level; the store buffer absorbs the
-        // latency so the core sees only the hit latency, but the next
-        // level's occupancy advances (bandwidth is consumed). The core
-        // never waits for it, so the profiler must not claim it either.
-        const profile::SuppressGuard mute;
-        next_->access(now, line_addr, 8, /*is_write=*/true);
-        ctr_wt_words_ += 1;
-      } else {
-        tags_.mark_dirty(line_addr);
-      }
-    }
-    return now + config_.hit_latency;
-  }
-
+Cycles CacheModel::miss(Cycles now, Addr line_addr, bool is_write) {
   ctr_misses_ += 1;
   if (trace::enabled()) {
     auto& sink = trace::sink();

@@ -29,22 +29,31 @@ class SetAssocTags {
     Addr line_addr = 0;  // base address of the evicted line
   };
 
+  struct Way {
+    u64 tag = 0;
+    u64 lru = 0;  // larger = more recently used
+    bool valid = false;
+    bool dirty = false;
+  };
+
   SetAssocTags(u32 num_sets, u32 num_ways, u32 line_bytes);
 
-  /// True if `addr`'s line is present; updates LRU on hit.
-  bool lookup(Addr addr);
+  /// The way holding `addr`'s line, with its LRU stamp refreshed, or
+  /// nullptr on a miss. A write hit marks the line dirty through it.
+  Way* lookup(Addr addr) {
+    Way* const way = find(addr);
+    if (way != nullptr) way->lru = ++use_clock_;
+    return way;
+  }
 
   /// Present without touching LRU (for tests/inspection).
-  bool probe(Addr addr) const;
+  bool probe(Addr addr) const { return find(addr) != nullptr; }
 
   /// Install `addr`'s line, evicting LRU if the set is full.
   Victim fill(Addr addr);
 
   /// Mark `addr`'s line dirty (must be present).
   void mark_dirty(Addr addr);
-
-  /// Hit + dirty handling for a write in a write-back cache.
-  bool line_dirty(Addr addr) const;
 
   /// Invalidate everything.
   void flush();
@@ -60,17 +69,21 @@ class SetAssocTags {
   Addr line_of(Addr addr) const { return addr & ~static_cast<Addr>(line_bytes_ - 1); }
 
  private:
-  struct Way {
-    u64 tag = 0;
-    u64 lru = 0;  // larger = more recently used
-    bool valid = false;
-    bool dirty = false;
-  };
-
-  u32 set_index(Addr addr) const;
-  u64 tag_of(Addr addr) const;
-  Way* find(Addr addr);
-  const Way* find(Addr addr) const;
+  u32 set_index(Addr addr) const {
+    return static_cast<u32>((addr >> line_shift_) & (num_sets_ - 1));
+  }
+  u64 tag_of(Addr addr) const { return addr >> tag_shift_; }
+  Way* find(Addr addr) {
+    const u64 tag = tag_of(addr);
+    Way* const base = &ways_[static_cast<size_t>(set_index(addr)) * num_ways_];
+    for (u32 w = 0; w < num_ways_; ++w) {
+      if (base[w].valid && base[w].tag == tag) return &base[w];
+    }
+    return nullptr;
+  }
+  const Way* find(Addr addr) const {
+    return const_cast<SetAssocTags*>(this)->find(addr);
+  }
 
   u32 num_sets_;
   u32 num_ways_;
@@ -108,7 +121,18 @@ class CacheModel final : public MemTiming {
   CacheModel(const CacheConfig& config, MemTiming* next);
 
   /// Model an access; splits requests that straddle line boundaries.
-  Cycles access(Cycles now, Addr addr, u32 bytes, bool is_write) override;
+  /// A one-line hit resolves here, inline in the caller; misses and
+  /// straddling accesses go out of line (cache.cpp). Forced inline:
+  /// left to itself, the compiler calls an out-of-line copy from the
+  /// host's load and store handlers.
+  [[gnu::always_inline]] Cycles access(Cycles now, Addr addr, u32 bytes,
+                                       bool is_write) override {
+    const Addr line = tags_.line_of(addr);
+    if (line != tags_.line_of(addr + bytes - 1)) {
+      return access_lines(now, addr, bytes, is_write);
+    }
+    return access_line(now, line, is_write);
+  }
 
   void flush() { tags_.flush(); }
 
@@ -127,7 +151,33 @@ class CacheModel final : public MemTiming {
   double hit_ratio() const;
 
  private:
-  Cycles access_line(Cycles now, Addr addr, bool is_write);
+  [[gnu::always_inline]] Cycles access_line(Cycles now, Addr line_addr,
+                                            bool is_write) {
+    (is_write ? ctr_writes_ : ctr_reads_) += 1;
+    SetAssocTags::Way* const way = tags_.lookup(line_addr);
+    if (way == nullptr) return miss(now, line_addr, is_write);
+    ctr_hits_ += 1;
+    if (trace::enabled()) trace_hit(now);
+    if (is_write) {
+      if (config_.write_through) {
+        // Forward the word to the next level; the store buffer absorbs
+        // the latency so the core sees only the hit latency, but the
+        // next level's occupancy advances (bandwidth is consumed). The
+        // core never waits for it, so the profiler must not claim it.
+        const profile::SuppressGuard mute;
+        next_->access(now, line_addr, 8, /*is_write=*/true);
+        ctr_wt_words_ += 1;
+      } else {
+        mark_dirty(*way);
+      }
+    }
+    return now + config_.hit_latency;
+  }
+  /// Out of line: accesses that straddle lines, misses, the write-back
+  /// dirty bit (no host L1 writes back) and the hit-batch trace event.
+  Cycles access_lines(Cycles now, Addr addr, u32 bytes, bool is_write);
+  Cycles miss(Cycles now, Addr line_addr, bool is_write);
+  static void mark_dirty(SetAssocTags::Way& way);
   void trace_hit(Cycles now);
 
   CacheConfig config_;

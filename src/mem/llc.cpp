@@ -60,14 +60,14 @@ Cycles Llc::access_line(Cycles now, Addr line_addr, bool is_write) {
   const u64 claimed_before = profile::claimed();
   Cycles t = now + config_.tag_latency;  // descriptor tag lookup (1 cycle)
 
-  if (tags_.lookup(line_addr)) {
+  if (SetAssocTags::Way* const way = tags_.lookup(line_addr)) {
     ctr_hits_ += 1;
     if (trace::enabled()) {
       auto& sink = trace::sink();
       sink.instant(sink.resolve(trace_track_, stats_.name()),
                    trace::Ev::kHit, now, line_addr, is_write ? 1 : 0);
     }
-    if (is_write) tags_.mark_dirty(line_addr);
+    if (is_write) way->dirty = true;
     profile::add(profile::Reason::kLlcWait,
                  t + config_.hit_latency - now);
     return t + config_.hit_latency;
