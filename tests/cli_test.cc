@@ -161,6 +161,9 @@ TEST(CliBench, BenchFlagParserKeepsHistoricalSemantics) {
 #ifndef HULKV_EXAMPLES_DIR
 #define HULKV_EXAMPLES_DIR "."
 #endif
+#ifndef HULKV_TOOLS_DIR
+#define HULKV_TOOLS_DIR "."
+#endif
 
 struct Outcome {
   int rc = -1;
@@ -293,6 +296,28 @@ TEST(ExampleCli, MemsysExplorerUsageErrorsExitTwoWithMessage) {
     EXPECT_EQ(o.rc, 2) << args << "\n" << o.err;
     EXPECT_NE(o.err.find(names), std::string::npos) << args << "\n" << o.err;
     EXPECT_NE(o.err.find("usage: memsys_explorer"), std::string::npos)
+        << args << "\n" << o.err;
+  }
+}
+
+// hulkv-analyze checks --base and --profile before it reads an image or
+// runs the corpus: a bad value exits 2 with a message naming it.
+TEST(ToolCli, AnalyzeUsageErrorsExitTwoWithMessage) {
+  const std::string binary = std::string(HULKV_TOOLS_DIR) + "/hulkv-analyze";
+  // (arguments, text the message must name)
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--image /dev/null --base xyz", "--base expects"},
+      {"--image /dev/null --base 0x10zz", "\"0x10zz\""},
+      {"--image /dev/null --base -1", "\"-1\""},
+      {"--image /dev/null --base ' 16'", "\" 16\""},
+      {"--corpus --profile bogus", "--profile expects"},
+      {"--image /dev/null --profile host --bogus", "\"--bogus\""},
+  };
+  for (const auto& [args, names] : cases) {
+    const Outcome o = run_binary(binary, args);
+    EXPECT_EQ(o.rc, 2) << args << "\n" << o.err;
+    EXPECT_NE(o.err.find(names), std::string::npos) << args << "\n" << o.err;
+    EXPECT_NE(o.err.find("usage: hulkv-analyze"), std::string::npos)
         << args << "\n" << o.err;
   }
 }

@@ -12,9 +12,10 @@
 //  * The ResultRows of one no-cache suite per memory configuration run
 //    through serve::Service::run_point: warm fork plus chunked host runs
 //    (tests/golden/serve_rows.txt).
-//  * The observed runs: fig6_speedup --profile's folded stacks and the
-//    FNV-1a digest of its annotated view (tests/golden/profile/), and
-//    the digest of its --trace file (tests/golden/trace/).
+//  * The observed runs: the folded stacks of fig6_speedup --profile and
+//    fig8_llc_effect --profile and the FNV-1a digests of their annotated
+//    views (tests/golden/profile/), and the digest of fig6_speedup's
+//    --trace file (tests/golden/trace/).
 //  * EXPERIMENTS.md's measured blocks equal the bench goldens.
 // All are regenerated with HULKV_REGEN_GOLDEN=1; a change that does so
 // must say which simulated number moved and why.
@@ -479,15 +480,19 @@ std::string size_and_digest(const std::string& bytes) {
          "\n";
 }
 
+// fig6 pins the cluster side and CVA6 on HyperRAM+LLC; fig8 pins the
+// host's cycle attribution on all four memory configs.
 TEST(GoldenObserved, Fig6ProfileFoldedAndAnnotated) {
   const TempDir dir;
   ASSERT_FALSE(dir.path.empty());
-  run_stdout(std::string(HULKV_BENCH_DIR) + "/fig6_speedup --profile=" +
-             dir.path + "/fig6");
-  expect_golden("profile/fig6_speedup.folded",
-                read_file(dir.path + "/fig6.folded"));
-  expect_golden("profile/fig6_speedup.annotated.fnv1a",
-                size_and_digest(read_file(dir.path + "/fig6.annotated.txt")));
+  for (const std::string bench : {"fig6_speedup", "fig8_llc_effect"}) {
+    const std::string out = dir.path + "/" + bench;
+    run_stdout(std::string(HULKV_BENCH_DIR) + "/" + bench + " --profile=" +
+               out);
+    expect_golden("profile/" + bench + ".folded", read_file(out + ".folded"));
+    expect_golden("profile/" + bench + ".annotated.fnv1a",
+                  size_and_digest(read_file(out + ".annotated.txt")));
+  }
 }
 
 TEST(GoldenObserved, Fig6TraceDigest) {

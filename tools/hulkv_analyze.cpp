@@ -12,7 +12,10 @@
 // table, the function summaries, and annotated diagnostics. Exit code
 // is 0 when no analyzed program has error-severity diagnostics, 1
 // otherwise (so CI can gate on it), 2 on usage errors.
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -36,6 +39,26 @@ int usage() {
                "host|cluster] [--base ADDR] [--json]\n"
                "`hulkv-analyze --corpus` lists the program names.\n");
   return 2;
+}
+
+/// A usage error naming the bad argument, then the usage text.
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "hulkv-analyze: %s\n", message.c_str());
+  return usage();
+}
+
+/// The whole of `text` as an unsigned number: decimal, 0x hex or 0
+/// octal. No sign, no spaces, no trailing characters.
+bool parse_address(const std::string& text, u64* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+  if (errno != 0 || *end != '\0') return false;
+  *out = v;
+  return true;
 }
 
 /// Per-program detail: report, block fact table, function summaries.
@@ -96,13 +119,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--profile" && i + 1 < argc) {
       profile = argv[++i];
     } else if (arg == "--base" && i + 1 < argc) {
-      base = std::stoull(argv[++i], nullptr, 0);
+      const std::string value = argv[++i];
+      if (!parse_address(value, &base)) {
+        return usage_error("--base expects an unsigned number, got \"" +
+                           value + "\"");
+      }
       base_set = true;
     } else if (!arg.empty() && arg[0] != '-' && name.empty()) {
       name = arg;
     } else {
-      return usage();
+      return usage_error("unexpected argument \"" + arg + "\"");
     }
+  }
+  if (profile != "host" && profile != "cluster") {
+    return usage_error("--profile expects host or cluster, got \"" +
+                       profile + "\"");
   }
 
   try {
@@ -126,11 +157,7 @@ int main(int argc, char** argv) {
       kernels::CorpusEntry entry;
       entry.name = image_path;
       entry.words = std::move(words);
-      if (profile == "host") {
-        entry.profile = analysis::IsaProfile::kHostRv64;
-      } else if (profile != "cluster") {
-        return usage();
-      }
+      if (profile == "host") entry.profile = analysis::IsaProfile::kHostRv64;
       kernels::CorpusResult r;
       r.analysis = kernels::analyze_corpus_entry(entry);
       if (base_set) {
