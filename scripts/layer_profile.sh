@@ -18,7 +18,12 @@
 #   scheduler          CoreScheduler, Cluster::run_kernel, envcalls,
 #                      event unit
 #   TCDM               Tcdm banks and the cluster DMA
-#   L1/LLC/DRAM        cache models, LLC, external memories, the bus
+#   L1/LLC/DRAM        cache models, LLC, external memories, the bus.
+#                      The host's L1 hit path is inlined into the
+#                      load/store handlers and Cva6Core::fetch_new_line,
+#                      so gprof books it under dispatch/handlers; this
+#                      row holds the L1 miss path, the LLC and the
+#                      devices.
 #   snapshot and wire  snapshot archive/digest, serve protocol/socket
 #   other              everything else (allocator, libc, perfbench)
 #
