@@ -45,11 +45,10 @@ struct SweepStats {
   }
 };
 
-/// Finalize per-job measurements and, when telemetry is collecting,
-/// hand the summary to the registry for the manifest.
+/// Finalize per-job measurements and hand the summary to the registry
+/// for the manifest.
 void finish_sweep_stats(SweepStats stats, const std::vector<u64>& durations,
                         const std::vector<u64>& in_flight, u64 start_ns) {
-  if (!telemetry::enabled()) return;
   stats.wall_ns = telemetry::now_ns() - start_ns;
   for (const u64 d : durations) {
     stats.latency.record(d);
@@ -78,28 +77,35 @@ void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job) {
   if (workers == 0) workers = default_jobs();
   if (workers > count) workers = static_cast<u32>(count);
 
+  // The sweep is measured only while telemetry collects; otherwise it
+  // reads no clock and keeps no per-job samples.
+  const bool measured = telemetry::enabled();
   SweepStats stats;
   stats.jobs = count;
   stats.workers = workers;
-  const u64 start_ns = telemetry::now_ns();
+  const u64 start_ns = measured ? telemetry::now_ns() : 0;
   // Slot-per-job measurement storage: workers write disjoint indices,
   // and the pool join orders those writes before the aggregation below.
-  std::vector<u64> durations(count);
-  std::vector<u64> in_flight(count);
+  std::vector<u64> durations(measured ? count : 0);
+  std::vector<u64> in_flight(measured ? count : 0);
+  // Job i with `running` jobs claimed and unfinished, itself included.
+  const auto run_one = [&](u64 i, u64 running) {
+    const telemetry::Span span(telemetry::SpanPhase::kBatchJob);
+    if (!measured) {
+      job(i);
+      return;
+    }
+    in_flight[i] = running;
+    const u64 job_start = telemetry::now_ns();
+    job(i);
+    durations[i] = telemetry::now_ns() - job_start;
+  };
 
   if (workers <= 1) {
     // Serial path: inline, index order — byte-identical to the
     // pre-batch single-threaded benches by construction.
-    for (u64 i = 0; i < count; ++i) {
-      in_flight[i] = 1;
-      const u64 job_start = telemetry::now_ns();
-      {
-        const telemetry::Span span(telemetry::SpanPhase::kBatchJob);
-        job(i);
-      }
-      durations[i] = telemetry::now_ns() - job_start;
-    }
-    finish_sweep_stats(stats, durations, in_flight, start_ns);
+    for (u64 i = 0; i < count; ++i) run_one(i, 1);
+    if (measured) finish_sweep_stats(stats, durations, in_flight, start_ns);
     return;
   }
 
@@ -126,25 +132,19 @@ void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job) {
         // so claimed-but-unfinished = i + 1 - completed, counting this
         // job. The sample is stored slot-per-job: values vary run to
         // run (true concurrency), placement never does.
-        in_flight[i] = i + 1 - completed.load(std::memory_order_relaxed);
-        const u64 job_start = telemetry::now_ns();
-        {
-          const telemetry::Span span(telemetry::SpanPhase::kBatchJob);
-          try {
-            job(i);
-          } catch (...) {
-            const std::lock_guard<std::mutex> lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-          }
+        try {
+          run_one(i, i + 1 - completed.load(std::memory_order_relaxed));
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (!first_error) first_error = std::current_exception();
         }
-        durations[i] = telemetry::now_ns() - job_start;
         completed.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-  finish_sweep_stats(stats, durations, in_flight, start_ns);
+  if (measured) finish_sweep_stats(stats, durations, in_flight, start_ns);
 }
 
 SocSnapshot SocSnapshot::capture(

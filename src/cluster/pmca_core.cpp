@@ -929,6 +929,10 @@ template <bool kObserved>
 void PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
                      profile::CoreProfile* prof) {
   using PmcaFn = void (*)(PmcaCore&, const isa::threaded::ThreadedInstr&);
+  if constexpr (kObserved) {
+    profile::detail::g_observed_entries.fetch_add(1,
+                                                  std::memory_order_relaxed);
+  }
   u64 executed = 0;
   // Resume in front of the instruction the last slice stopped at: no
   // block probe, and no suffix block translated at a mid-block pc. The

@@ -884,6 +884,10 @@ template <bool kObserved, bool kBounded>
 void Cva6Core::dispatch(u64 max_instructions, u64 start_instret,
                         profile::CoreProfile* prof) {
   using HostFn = void (*)(Cva6Core&, const isa::threaded::ThreadedInstr&);
+  if constexpr (kObserved) {
+    profile::detail::g_observed_entries.fetch_add(1,
+                                                  std::memory_order_relaxed);
+  }
   // exited_ is false on entry (run() clears it) and only trap() can set
   // it, so it is re-checked only after a trap, not per block.
   while (!kBounded || instret_ - start_instret < max_instructions) {

@@ -22,6 +22,8 @@
 // SuppressGuard: the core never waits for them, so they must not claim.
 #pragma once
 
+#include <atomic>
+
 #include "common/types.hpp"
 
 namespace hulkv::profile {
@@ -70,6 +72,13 @@ namespace detail {
 extern constinit thread_local AttrScratch* g_scratch;  // open bracket
 extern bool g_enabled;       // mirrors Session enabled state
 extern u32 g_generation;     // bumped by Session::reset()
+/// Entries into the cores' observed loops (Cva6Core::dispatch<true, *>,
+/// PmcaCore::slice<true>) so far in this process. Tests pin with it that
+/// a run with the profiler and tracing off never enters them.
+extern std::atomic<u64> g_observed_entries;
+inline u64 observed_entries() {
+  return g_observed_entries.load(std::memory_order_relaxed);
+}
 }  // namespace detail
 
 /// True when the profiler session is collecting. Cores check this (via

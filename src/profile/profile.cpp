@@ -18,6 +18,7 @@ namespace detail {
 constinit thread_local AttrScratch* g_scratch = nullptr;
 bool g_enabled = false;
 u32 g_generation = 1;
+std::atomic<u64> g_observed_entries{0};
 }  // namespace detail
 
 namespace {

@@ -24,6 +24,7 @@ std::mutex& registry_mutex() {
 }
 
 std::atomic<u32> g_thread_counter{0};
+std::atomic<u64> g_clock_reads{0};
 
 /// Per-thread span retention buffer. Spans are appended lock-free on
 /// the owning thread and flushed into the registry under the mutex
@@ -73,10 +74,15 @@ const char* phase_name(SpanPhase phase) {
 }
 
 u64 now_ns() {
+  g_clock_reads.fetch_add(1, std::memory_order_relaxed);
   return static_cast<u64>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+u64 detail::clock_reads() {
+  return g_clock_reads.load(std::memory_order_relaxed);
 }
 
 Registry& Registry::instance() {

@@ -59,11 +59,15 @@ inline constexpr size_t kNumSpanPhases =
 /// Stable lowercase name ("program_analyze", "batch_job", ...).
 const char* phase_name(SpanPhase phase);
 
-/// Monotonic wall-clock nanoseconds (std::chrono::steady_clock).
+/// Monotonic wall-clock nanoseconds (std::chrono::steady_clock), the
+/// library's only steady-clock read.
 u64 now_ns();
 
 namespace detail {
 extern bool g_enabled;  // mirrors Registry enabled state; do not write
+/// now_ns() calls so far in this process. Tests pin with it that the
+/// observation-off paths read no clock.
+u64 clock_reads();
 }  // namespace detail
 
 /// True when the registry is collecting — the only check a disabled
