@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/json_quote.hpp"
 #include "core/soc.hpp"
 #include "kernels/cluster_kernels.hpp"
 #include "kernels/host_kernels.hpp"
@@ -24,27 +25,6 @@ void add(std::vector<CorpusEntry>& corpus, analysis::IsaProfile profile,
                         program.name + "." +
                         std::string(precision_name(program.precision)),
                     profile, program.words});
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -154,7 +134,7 @@ std::string render_corpus_json(const std::vector<CorpusResult>& results) {
     const analysis::FactsTable& f = r.analysis.facts;
     const analysis::Report& rep = r.analysis.report;
     os << "    {\n";
-    os << "      \"name\": \"" << json_escape(r.entry.name) << "\",\n";
+    os << "      \"name\": " << json_quote(r.entry.name) << ",\n";
     os << "      \"profile\": \""
        << (r.entry.profile == analysis::IsaProfile::kClusterRv32
                ? "cluster"
@@ -177,8 +157,8 @@ std::string render_corpus_json(const std::vector<CorpusResult>& results) {
     os << "      \"functions\": " << f.functions.size() << ",\n";
     os << "      \"diagnostics\": [";
     for (size_t d = 0; d < rep.diagnostics.size(); ++d) {
-      os << (d == 0 ? "\n" : ",\n") << "        \""
-         << json_escape(rep.diagnostics[d].to_string()) << "\"";
+      os << (d == 0 ? "\n" : ",\n") << "        "
+         << json_quote(rep.diagnostics[d].to_string());
     }
     os << (rep.diagnostics.empty() ? "]\n" : "\n      ]\n");
     os << "    }" << (i + 1 < results.size() ? "," : "") << "\n";

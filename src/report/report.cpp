@@ -10,34 +10,9 @@
 #include <sstream>
 
 #include "common/cli.hpp"
+#include "common/json_quote.hpp"
 
 namespace hulkv::report {
-
-namespace {
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 Value Value::integer(i64 v) {
   Value out;

@@ -9,33 +9,12 @@
 #include <sstream>
 #include <thread>
 
+#include "common/json_quote.hpp"
 #include "report/report.hpp"
 
 namespace hulkv::telemetry {
 
 namespace {
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 std::string host_name() {
   char buf[256] = {};

@@ -7,35 +7,12 @@
 #include <ostream>
 #include <vector>
 
+#include "common/json_quote.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hulkv::trace {
 
 namespace {
-
-/// Minimal JSON string escaping (track names are plain identifiers, but
-/// stay correct for anything).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Format a cycle timestamp in microseconds. With the default 1 cycle =
 /// 1 us mapping this prints exact integers.
@@ -85,8 +62,8 @@ void write_chrome_trace(std::ostream& os, const TraceSink& sink,
   for (u32 t = 0; t < tracks.size(); ++t) {
     emit_sep();
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-       << (t + 1) << ",\"args\":{\"name\":\"" << json_escape(tracks[t])
-       << "\"}}";
+       << (t + 1) << ",\"args\":{\"name\":" << json_quote(tracks[t])
+       << "}}";
   }
   emit_sep();
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: bit utilities, FP16 emulation,
-// deterministic RNG, stat counters.
+// deterministic RNG, stat counters, JSON string quoting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,10 +7,12 @@
 
 #include "common/bitutil.hpp"
 #include "common/half.hpp"
+#include "common/json_quote.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "telemetry/json.hpp"
 
 namespace hulkv {
 namespace {
@@ -191,6 +193,26 @@ TEST(Log, ClockStampsLines) {
   line = testing::internal::GetCapturedStderr();
   EXPECT_EQ(line.find('@'), std::string::npos) << line;
   set_log_level(saved);
+}
+
+// Every byte 0x01-0x7f, alone and between plain text, quotes to a
+// literal with no raw control byte that the JSON reader maps back.
+TEST(JsonQuote, EveryAsciiByteRoundTripsWithoutRawControls) {
+  for (int b = 0x01; b <= 0x7f; ++b) {
+    const char c = static_cast<char>(b);
+    for (const std::string& input :
+         {std::string(1, c), "a" + std::string(1, c) + "b"}) {
+      const std::string quoted = json_quote(input);
+      for (const char q : quoted) {
+        EXPECT_GE(static_cast<unsigned char>(q), 0x20)
+            << "byte 0x" << std::hex << b << " left raw in " << quoted;
+      }
+      const telemetry::json::Value parsed = telemetry::json::parse(quoted);
+      ASSERT_TRUE(parsed.is(telemetry::json::Kind::kString))
+          << "byte 0x" << std::hex << b;
+      EXPECT_EQ(parsed.as_string(), input) << "byte 0x" << std::hex << b;
+    }
+  }
 }
 
 }  // namespace
