@@ -1,7 +1,8 @@
 // Microbenchmarks of the simulator itself (google-benchmark): ISS
-// throughput, cache-model and HyperRAM-model access rates. These guard
-// the usability of the repo (the figure benches replay millions of
-// instructions) rather than reproducing a paper result.
+// throughput, cache-model and HyperRAM-model access rates. They are for
+// diagnosis and reproduce no paper result. No gate compares their
+// numbers: perfbench (BENCHMARK.json) is the performance gate, and
+// scripts/ci.sh only checks that every row runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -164,10 +165,7 @@ class TelemetryScope {
 };
 
 /// BM_HostIssLoop with telemetry spans collecting: the telemetry-on
-/// overhead row (compare instr/s against BM_HostIssLoop). Note the
-/// benchmark-name regex 'BM_(Host|Cluster)IssLoop' used by the simperf
-/// gate also matches this row, so the telemetry-on rate is gated once a
-/// baseline carries it.
+/// overhead row (compare instr/s against BM_HostIssLoop).
 void BM_HostIssLoopTelemetry(benchmark::State& state) {
   const TelemetryScope scope;
   BM_HostIssLoop(state);
@@ -265,10 +263,9 @@ BENCHMARK(BM_HyperRamBurst);
 /// The serve daemon's per-point data path on a cache hit — the
 /// steady-state of a popular point, and the path every request pays
 /// at minimum. The plain row is the tracing-off path (StageClock ==
-/// nullptr compiles to zero clock reads inside run_point) and is
-/// gated by SIMPERF_SERVE_OBS_OFF_THRESHOLD_PCT; the Obs row times
-/// the same hit with a clock attached (tracing-on overhead, printed
-/// informationally by simperf_check.sh).
+/// nullptr: zero clock reads inside run_point, pinned by
+/// observation_off_test); the Obs row times the same hit with a clock
+/// attached (the tracing-on overhead).
 void serve_point_cached(benchmark::State& state, bool obs) {
   serve::Service service;
   const serve::PointParams point = {0, 1, 1};

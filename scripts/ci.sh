@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Full CI gate, runnable locally: configure + build the plain and the
-# ASan/UBSan trees, run the tier-1 test suite in both, lint, and check
-# simulator performance against the checked-in baseline.
+# ASan/UBSan trees, run the tier-1 test suite in both, smoke-run the
+# tools, and lint. No step compares a timing: the repository benchmark
+# (perfbench, BENCHMARK.json) is the one performance gate, and the
+# tier-1 observation_off_test pins that observation off costs nothing.
 #
 # Usage: scripts/ci.sh [--fast]
-#   --fast           skip the sanitized tree and the simperf check
+#   --fast           skip the sanitized (ASan/UBSan, TSan) trees
 #   JOBS=N           build/test parallelism (default: nproc)
 #
 # Build trees (kept out of the source tree, see .gitignore):
-#   build/        plain RelWithDebInfo — benches + simperf numbers
+#   build/        plain RelWithDebInfo — tests, benches, tools
 #   build-asan/   address+undefined sanitizers — memory-safety gate
 #   build-tsan/   thread sanitizer — batch job-queue race gate
 set -euo pipefail
@@ -199,13 +201,11 @@ assert metrics["serve.internal_errors"]["value"] == 0
 EOF
 rm -rf "$serve_dir"
 
+step "simperf smoke (every microbenchmark runs; no number is compared)"
+"$repo_root/build/bench/simperf" --benchmark_min_time=0.01 > /dev/null
+
 step "lint"
 "$repo_root/scripts/lint.sh"
-
-if [ "$fast" -eq 0 ]; then
-  step "simperf regression check"
-  BUILD_DIR="$repo_root/build" "$repo_root/scripts/simperf_check.sh"
-fi
 
 echo
 echo "ci: OK"

@@ -80,6 +80,10 @@ Parser& Parser::add_optional_value(const std::string& flag, bool* present,
 bool Parser::apply_value(const Option& opt, const std::string& value) {
   errno = 0;
   char* end = nullptr;
+  // strtoul/strtoull skip blanks and accept a sign ("-1" wraps to the
+  // maximum), so an unsigned value must start with a digit.
+  const bool digit_first =
+      !value.empty() && value[0] >= '0' && value[0] <= '9';
   switch (opt.kind) {
     case Kind::kString:
     case Kind::kOptional:
@@ -87,7 +91,7 @@ bool Parser::apply_value(const Option& opt, const std::string& value) {
       return true;
     case Kind::kU32: {
       const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || errno != 0 || v > ~u32{0}) {
+      if (!digit_first || *end != '\0' || errno != 0 || v > ~u32{0}) {
         error_ = program_ + ": " + opt.flag +
                  " expects an unsigned integer, got \"" + value + "\"";
         return false;
@@ -97,7 +101,7 @@ bool Parser::apply_value(const Option& opt, const std::string& value) {
     }
     case Kind::kU64: {
       const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || errno != 0) {
+      if (!digit_first || *end != '\0' || errno != 0) {
         error_ = program_ + ": " + opt.flag +
                  " expects an unsigned integer, got \"" + value + "\"";
         return false;

@@ -18,8 +18,8 @@
 // JSON). Purely observational: nothing on the simulation path reads
 // observability state, so response bytes stay byte-identical at any
 // worker count with the plane on or off. Cheap-when-disabled, like
-// hulkv::telemetry: a disabled plane never reads a clock on the
-// dispatch path (gated by simperf SIMPERF_SERVE_OBS_OFF_THRESHOLD_PCT).
+// hulkv::telemetry: without a StageClock, Service::run_point reads no
+// clock (pinned by observation_off_test's ServeObsOff cases).
 #pragma once
 
 #include <atomic>

@@ -43,7 +43,7 @@ class Service {
   /// points — simulation itself cannot throw for catalogue workloads.
   /// With a non-null `clock` the cache-lookup / warm-fork / execute
   /// stages are wall-clocked into it; nullptr is the tracing-off path
-  /// and reads no clock at all (gated by simperf).
+  /// and reads no clock at all (pinned by observation_off_test).
   PointResult run_point(const PointParams& point, bool no_cache,
                         const CancelFn& cancelled,
                         obs::StageClock* clock = nullptr);

@@ -2,7 +2,7 @@
 //
 // The repo's writers (report::MetricsReport, the telemetry manifest)
 // emit JSON; this is the matching reader so tools/hulkv-stats can
-// aggregate, diff and schema-check those files without external
+// aggregate and schema-check those files without external
 // dependencies. A straightforward recursive-descent DOM parser:
 // complete JSON value grammar (RFC 8259), objects keep insertion
 // order, numbers keep both a double view and the raw text (so exact

@@ -8,7 +8,7 @@
 // the --json file) and how the simulator itself behaved (per-phase
 // latency summaries, per-sweep throughput). Appending one line per run
 // to `runs/<bench>.jsonl` accumulates a machine-readable history that
-// tools/hulkv-stats aggregates, diffs and trends.
+// tools/hulkv-stats lists, aggregates and schema-checks.
 #pragma once
 
 #include <string>

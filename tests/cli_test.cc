@@ -1,18 +1,22 @@
 // hulkv::cli::Parser — the shared flag table behind the bench
-// binaries (report::bench_args_or_exit) and the serve tools — and the
-// figure benches' command lines, driven as subprocesses.
+// binaries (report::bench_args_or_exit) and the tools — and the command
+// lines of the figure benches, the examples, hulkv-analyze and
+// hulkv-stats, driven as subprocesses.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "report/report.hpp"
+#include "telemetry/json.hpp"
 
 namespace {
 
@@ -98,6 +102,21 @@ TEST(CliParser, RejectsBadNumbersAndMissingValues) {
 
   Argv trailing({"--count=7x"});
   EXPECT_FALSE(parser.parse(trailing.argc(), trailing.argv()));
+
+  // strtoull would wrap "-1" to 2^64-1 and skip the blank in " 5".
+  u64 big = 0;
+  parser.add_u64("--big", &big, "");
+  for (const char* value : {"-1", " 5", "+5"}) {
+    Argv signed_value({"--big", value});
+    EXPECT_FALSE(parser.parse(signed_value.argc(), signed_value.argv()))
+        << value;
+    EXPECT_NE(parser.error().find("--big expects"), std::string::npos)
+        << parser.error();
+    Argv signed_count({std::string("--count=") + value});
+    EXPECT_FALSE(parser.parse(signed_count.argc(), signed_count.argv()))
+        << value;
+  }
+  EXPECT_EQ(big, 0u);
 }
 
 TEST(CliParser, UnknownFlagPolicy) {
@@ -164,15 +183,21 @@ TEST(CliBench, BenchFlagParserKeepsHistoricalSemantics) {
 #ifndef HULKV_TOOLS_DIR
 #define HULKV_TOOLS_DIR "."
 #endif
+#ifndef HULKV_SCRIPTS_DIR
+#define HULKV_SCRIPTS_DIR "scripts"
+#endif
 
 struct Outcome {
   int rc = -1;
-  std::string err;  // stderr; stdout is discarded
+  std::string err;  // stderr, merged with stdout when that is kept
 };
 
-/// Run `binary` (a path) with `args`; stdout is discarded.
-Outcome run_binary(const std::string& binary, const std::string& args) {
-  const std::string cmd = binary + " " + args + " 2>&1 >/dev/null";
+/// Run `binary` (a path) with `args`; stdout is discarded unless
+/// `keep_stdout`.
+Outcome run_binary(const std::string& binary, const std::string& args,
+                   bool keep_stdout = false) {
+  const std::string cmd =
+      binary + " " + args + (keep_stdout ? " 2>&1" : " 2>&1 >/dev/null");
   Outcome out;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return out;
@@ -320,6 +345,105 @@ TEST(ToolCli, AnalyzeUsageErrorsExitTwoWithMessage) {
     EXPECT_NE(o.err.find("usage: hulkv-analyze"), std::string::npos)
         << args << "\n" << o.err;
   }
+}
+
+// A file name reaches --json output as a JSON string: a tab in it is
+// escaped, so a strict reader takes the output back.
+TEST(ToolCli, AnalyzeJsonEscapesControlCharactersInTheImageName) {
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const std::string image = dir.path + "/tab\tname.bin";
+  {
+    std::ofstream out(image, std::ios::binary);
+    const unsigned char ecall[4] = {0x73, 0x00, 0x00, 0x00};
+    out.write(reinterpret_cast<const char*>(ecall), sizeof(ecall));
+  }
+  const Outcome o =
+      run_binary(std::string(HULKV_TOOLS_DIR) + "/hulkv-analyze",
+                 "--image '" + image + "' --json", /*keep_stdout=*/true);
+  ASSERT_EQ(o.rc, 0) << o.err;
+  EXPECT_EQ(o.err.find('\t'), std::string::npos) << o.err;
+  const telemetry::json::Value doc = telemetry::json::parse(o.err);
+  const telemetry::json::Value* corpus = doc.find("corpus");
+  ASSERT_NE(corpus, nullptr);
+  ASSERT_EQ(corpus->as_array().size(), 1u);
+  EXPECT_EQ(corpus->as_array()[0].find("name")->as_string(), image);
+}
+
+// hulkv-stats parses its flags through cli::Parser: a malformed or
+// out-of-range value, an unknown flag or a wrong file count exits 2
+// with a message naming it, before any file is read or socket opened.
+// The live cases name a socket that does not exist, so that a tool
+// which took a bad value anyway fails to connect instead of waiting.
+TEST(ToolCli, StatsUsageErrorsExitTwoWithMessage) {
+  const std::string binary = std::string(HULKV_TOOLS_DIR) + "/hulkv-stats";
+  const std::string sock = "--socket /nonexistent/hulkv.sock";
+  // (arguments, text the message must name)
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"tail " + sock + " --interval-ms abc", "--interval-ms expects"},
+      {"tail " + sock + " --interval-ms 5x", "\"5x\""},
+      {"top " + sock + " --count -1", "--count expects"},
+      {"scrape " + sock + " --port abc", "--port expects"},
+      {"scrape " + sock + " --port 70000", "--port 70000"},
+      {"trace", "--socket PATH or --port N"},
+      {"scrape " + sock + " runs.jsonl", "\"runs.jsonl\""},
+      {"scrape " + sock + " --metric x", "\"--metric\""},
+      {"list", "one or more manifest files"},
+      {"agg a.jsonl b.jsonl", "exactly one manifest file"},
+      {"agg a.jsonl --metric", "--metric expects a value"},
+      {"check a.jsonl --bogus x", "\"--bogus\""},
+      {"diff a.jsonl b.jsonl", "unknown command 'diff'"},
+      {"trend BENCH_simperf.json", "unknown command 'trend'"},
+  };
+  for (const auto& [args, names] : cases) {
+    const Outcome o = run_binary(binary, args);
+    EXPECT_EQ(o.rc, 2) << args << "\n" << o.err;
+    EXPECT_NE(o.err.find(names), std::string::npos) << args << "\n" << o.err;
+    EXPECT_NE(o.err.find("usage: hulkv-stats"), std::string::npos)
+        << args << "\n" << o.err;
+  }
+}
+
+// The offline commands on the manifest a bench writes: list and agg
+// read it, check finds it valid against the schema, and check fails on
+// a copy that lacks a required member.
+TEST(ToolCli, StatsOfflineCommandsReadABenchManifest) {
+  const std::string stats = std::string(HULKV_TOOLS_DIR) + "/hulkv-stats";
+  const std::string schema =
+      std::string(" --schema ") + HULKV_SCRIPTS_DIR + "/manifest_schema.json";
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const Outcome bench = run_bench("table2_power", "--telemetry=" + dir.path);
+  ASSERT_EQ(bench.rc, 0) << bench.err;
+  const std::string manifest = dir.path + "/table2_power.jsonl";
+  ASSERT_TRUE(dir.has("table2_power.jsonl"));
+
+  Outcome o = run_binary(stats, "list " + manifest, true);
+  EXPECT_EQ(o.rc, 0) << o.err;
+  EXPECT_NE(o.err.find("table2_power  kind=bench"), std::string::npos)
+      << o.err;
+  o = run_binary(stats, "agg " + manifest, true);
+  EXPECT_EQ(o.rc, 0) << o.err;
+  EXPECT_NE(o.err.find("total_max_power_mw"), std::string::npos) << o.err;
+  o = run_binary(stats, "check " + manifest + schema, true);
+  EXPECT_EQ(o.rc, 0) << o.err;
+  EXPECT_NE(o.err.find("1 run, 0 violations"), std::string::npos) << o.err;
+
+  // The same run without its required "timestamp_ns" member.
+  std::ifstream in(manifest);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string line = text.str();
+  const size_t at = line.find("\"timestamp_ns\":");
+  ASSERT_NE(at, std::string::npos) << line;
+  line.erase(at, line.find(',', at) + 1 - at);
+  const std::string broken = dir.path + "/broken.jsonl";
+  std::ofstream(broken) << line;
+  o = run_binary(stats, "check " + broken + schema, true);
+  EXPECT_EQ(o.rc, 1) << o.err;
+  EXPECT_NE(o.err.find("missing required member \"timestamp_ns\""),
+            std::string::npos)
+      << o.err;
 }
 
 TEST(ExampleCli, OffloadMatmulListedFlagsWriteTheirFiles) {

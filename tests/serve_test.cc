@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/soc.hpp"
@@ -1062,22 +1063,60 @@ TEST(ServeDaemon, SigtermOnBusyServerFlushesManifestAndExitsZero) {
 }
 
 // ---------------------------------------------------------------------
-// The tools' command lines: an unknown flag exits 2, and the error line
-// names the program once.
+// The tools' command lines: an unknown flag or a bad value exits 2, and
+// the error line names the program once.
+
+/// Exit code and merged stdout+stderr of one shell command.
+std::pair<int, std::string> run_command(const std::string& cmd) {
+  FILE* pipe = popen((cmd + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) out.append(buf, n);
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status),
+          out};
+}
+
+// hulkv-loadgen checks every value before it connects: a port, type,
+// workload, memory kind or LLC flag the daemon cannot take exits 2 with
+// a message naming the flag (a point field is one byte on the wire, so
+// an unchecked --workload 257 would run workload 1). The cases name a
+// socket that does not exist, so that a tool which took a bad value
+// anyway fails to connect instead of waiting.
+TEST(ServeCli, LoadgenRejectsBadValuesBeforeConnecting) {
+  const std::string loadgen =
+      std::string(HULKV_TOOLS_DIR) + "/hulkv-loadgen --requests 1";
+  const std::string sock = " --socket /nonexistent/hulkv.sock";
+  // (arguments, text the message must name)
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {sock + " --port 70000", "--port 70000"},
+      {sock + " --type bogus", "--type expects"},
+      {sock + " --workload 257", "--workload expects"},
+      {sock + " --workload " + std::to_string(workload_count()),
+       "--workload expects"},
+      {sock + " --mem 256", "--mem expects"},
+      {sock + " --llc 257", "--llc expects"},
+      {sock + " --mode sideways", "--mode expects"},
+      {sock + " --connections -1", "--connections expects"},
+      {"", "--socket PATH or --port N"},
+  };
+  for (const auto& [args, names] : cases) {
+    const auto [rc, out] = run_command(loadgen + args);
+    EXPECT_EQ(rc, 2) << args << "\n" << out;
+    const std::string error = out.substr(0, out.find('\n'));
+    EXPECT_NE(error.find(names), std::string::npos) << args << "\n" << out;
+    EXPECT_NE(out.find("usage: hulkv-loadgen"), std::string::npos)
+        << args << "\n" << out;
+  }
+}
 
 TEST(ServeCli, UnknownFlagExitsTwoNamingTheProgramOnce) {
   for (const std::string tool : {"hulkv-serve", "hulkv-loadgen"}) {
-    const std::string cmd =
-        std::string(HULKV_TOOLS_DIR) + "/" + tool + " --bogus 2>&1";
-    FILE* pipe = popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr) << tool;
-    std::string out;
-    char buf[4096];
-    size_t n = 0;
-    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) out.append(buf, n);
-    const int status = pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status)) << tool << "\n" << out;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << tool << "\n" << out;
+    const auto [rc, out] =
+        run_command(std::string(HULKV_TOOLS_DIR) + "/" + tool + " --bogus");
+    EXPECT_EQ(rc, 2) << tool << "\n" << out;
     // The first line is the error; the usage text follows it.
     const std::string error = out.substr(0, out.find('\n'));
     EXPECT_NE(error.find("--bogus"), std::string::npos) << error;

@@ -10,8 +10,12 @@
 //
 // --cold-baseline N additionally runs N *local* cold-boot simulations
 // of the same points (construct + setup + warm run + timed run, the
-// steady-state discipline of bench/fig8_llc_effect.cpp) for the
-// warm-fork-vs-cold-boot comparison in BENCH_serve.json.
+// steady-state discipline of bench/fig8_llc_effect.cpp), to compare a
+// warm fork with a cold boot.
+//
+// A bad command line (unknown flag, malformed value, or a port, type,
+// workload, memory kind or LLC flag the daemon cannot take) exits 2
+// with a message naming the flag, before any connection is made.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -129,6 +133,39 @@ LoadStats drive_open(const LoadOptions& opt, u32 conn) {
   return stats;
 }
 
+/// The usage error in `opt`, or "" when the daemon can take every
+/// value. Checked before connecting: a point field is one byte on the
+/// wire, so an unchecked --workload 257 would run workload 1.
+std::string check_options(const LoadOptions& opt) {
+  if (opt.socket_path.empty() && opt.port == 0) {
+    return "needs --socket PATH or --port N";
+  }
+  if (opt.port > 65535) {
+    return "--port " + std::to_string(opt.port) +
+           " is out of range (1-65535)";
+  }
+  if (opt.mode != "closed" && opt.mode != "open") {
+    return "--mode expects closed or open, got \"" + opt.mode + "\"";
+  }
+  if (opt.type != "run" && opt.type != "sweep" && opt.type != "suite" &&
+      opt.type != "ping") {
+    return "--type expects run, sweep, suite or ping, got \"" + opt.type +
+           "\"";
+  }
+  if (opt.workload != 255 && opt.workload >= serve::workload_count()) {
+    return "--workload expects 0-" +
+           std::to_string(serve::workload_count() - 1) + " or 255, got " +
+           std::to_string(opt.workload);
+  }
+  if (opt.mem_kind > static_cast<u32>(core::MainMemoryKind::kRpcDram)) {
+    return "--mem expects 0, 1 or 2, got " + std::to_string(opt.mem_kind);
+  }
+  if (opt.llc > 1) {
+    return "--llc expects 0 or 1, got " + std::to_string(opt.llc);
+  }
+  return "";
+}
+
 /// Local cold-boot latency of the same point stream: what a request
 /// costs without the daemon's warm-snapshot pool.
 telemetry::HistogramData cold_baseline(const LoadOptions& opt) {
@@ -190,9 +227,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (opt.connections == 0) opt.connections = 1;
-  if (opt.mode != "closed" && opt.mode != "open") {
-    std::fprintf(stderr, "hulkv-loadgen: unknown --mode %s\n",
-                 opt.mode.c_str());
+  if (const std::string error = check_options(opt); !error.empty()) {
+    std::fprintf(stderr, "hulkv-loadgen: %s\n%s", error.c_str(),
+                 parser.usage().c_str());
     return 2;
   }
 

@@ -1,12 +1,8 @@
-// hulkv-stats: aggregate, diff, trend and schema-check the JSON the
-// benches emit — telemetry run manifests (runs/<bench>.jsonl, written
-// by --telemetry) and the simperf baseline (BENCH_simperf.json with
-// its dated history array from scripts/simperf_baseline.sh).
+// hulkv-stats: list, aggregate and schema-check the telemetry run
+// manifests the benches write (runs/<bench>.jsonl, from --telemetry).
 //
 //   hulkv-stats list  <manifests.jsonl>...
 //   hulkv-stats agg   <manifests.jsonl> [--metric KEY]
-//   hulkv-stats diff  <a.jsonl> <b.jsonl> [--threshold-pct P]
-//   hulkv-stats trend <BENCH_simperf.json> [--metric NAME]
 //   hulkv-stats check <manifests.jsonl> [--schema schema.json]
 //
 // Live modes against a running hulkv-serve (DESIGN.md §17): scrape /
@@ -19,10 +15,11 @@
 //   hulkv-stats tail   --socket S | --port P [--interval-ms N] [--count N]
 //   hulkv-stats top    --socket S | --port P [--interval-ms N] [--count N]
 //
+// A bad command line (unknown flag, malformed or out-of-range value,
+// wrong number of files) exits 2 with a message naming the argument.
 // No external dependencies: uses the in-repo telemetry::json reader.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -34,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/types.hpp"
 #include "serve/client.hpp"
 #include "telemetry/histogram.hpp"
@@ -47,7 +45,7 @@ namespace json = telemetry::json;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw SimError("hulkv-stats: cannot open " + path);
+  if (!in) throw SimError("cannot open " + path);
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
@@ -56,7 +54,7 @@ std::string read_file(const std::string& path) {
 std::vector<json::Value> load_manifests(const std::string& path) {
   std::vector<json::Value> runs = json::parse_lines(read_file(path));
   if (runs.empty()) {
-    throw SimError("hulkv-stats: no runs in " + path);
+    throw SimError("no runs in " + path);
   }
   return runs;
 }
@@ -162,106 +160,6 @@ int cmd_agg(const std::string& path, const std::string& only_metric) {
                 key.c_str(), static_cast<unsigned long long>(a.count),
                 a.sum / static_cast<double>(a.count), a.min, a.max,
                 a.latest, unit.c_str());
-  }
-  return 0;
-}
-
-/// Diff one pair of runs' numeric metrics. Returns 1 when a shared
-/// metric's delta exceeds the threshold or no metric is shared.
-int diff_pair(const json::Value& a, const json::Value& b,
-              double threshold_pct) {
-  const std::map<std::string, double> ma = numeric_metrics(a);
-  const std::map<std::string, double> mb = numeric_metrics(b);
-
-  int status = 0;
-  size_t shared = 0;
-  std::printf("%-32s %14s %14s %10s\n", "metric", "a", "b", "delta");
-  for (const auto& [key, va] : ma) {
-    const auto it = mb.find(key);
-    if (it == mb.end()) continue;
-    ++shared;
-    const double vb = it->second;
-    const double delta_pct =
-        va == 0 ? (vb == 0 ? 0.0 : HUGE_VAL) : (vb / va - 1.0) * 100.0;
-    const bool over =
-        threshold_pct >= 0 && std::fabs(delta_pct) > threshold_pct;
-    if (over) status = 1;
-    std::printf("%-32s %14.6g %14.6g %+9.2f%%%s\n", key.c_str(), va, vb,
-                delta_pct, over ? "  OVER" : "");
-  }
-  for (const auto& [key, value] : ma) {
-    if (!mb.count(key)) {
-      std::printf("%-32s %14.6g %14s\n", key.c_str(), value, "(only a)");
-    }
-  }
-  for (const auto& [key, value] : mb) {
-    if (!ma.count(key)) {
-      std::printf("%-32s %14s %14.6g\n", key.c_str(), "(only b)", value);
-    }
-  }
-  if (shared == 0) {
-    std::fprintf(stderr, "hulkv-stats diff: no shared numeric metrics\n");
-    return 1;
-  }
-  if (threshold_pct >= 0) {
-    std::printf("diff: %s (threshold %.1f%%)\n",
-                status ? "OVER THRESHOLD" : "ok", threshold_pct);
-  }
-  return status;
-}
-
-int cmd_diff(const std::string& path_a, const std::string& path_b,
-             double threshold_pct) {
-  // Manifests are append-only logs: the last line is the latest run.
-  return diff_pair(load_manifests(path_a).back(),
-                   load_manifests(path_b).back(), threshold_pct);
-}
-
-int cmd_trend(const std::string& path, const std::string& only_metric) {
-  // The simperf baseline: google-benchmark JSON plus the dated
-  // "history" array scripts/simperf_baseline.sh appends on refresh.
-  const json::Value doc = json::parse(read_file(path));
-  const json::Value* history = doc.find("history");
-  if (!history || !history->is(json::Kind::kArray)) {
-    std::fprintf(stderr,
-                 "hulkv-stats trend: %s has no history array (refresh the "
-                 "baseline with scripts/simperf_baseline.sh)\n",
-                 path.c_str());
-    return 1;
-  }
-  // metric -> [(date, value)] in history order.
-  std::vector<std::string> order;
-  std::map<std::string, std::vector<std::pair<std::string, double>>> series;
-  for (const json::Value& entry : history->as_array()) {
-    const json::Value* date = entry.find("date");
-    const json::Value* metrics = entry.find("metrics");
-    if (!date || !metrics || !metrics->is(json::Kind::kObject)) continue;
-    for (const auto& [name, value] : metrics->as_object()) {
-      if (!value.is(json::Kind::kNumber)) continue;
-      if (!only_metric.empty() && name != only_metric) continue;
-      if (!series.count(name)) order.push_back(name);
-      series[name].emplace_back(date->as_string(), value.as_number());
-    }
-  }
-  if (series.empty()) {
-    std::fprintf(stderr, "hulkv-stats trend: no matching history entries\n");
-    return 1;
-  }
-  for (const std::string& name : order) {
-    const auto& points = series[name];
-    std::printf("%s\n", name.c_str());
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (i == 0) {
-        std::printf("  %s  %14.6g\n", points[i].first.c_str(),
-                    points[i].second);
-      } else {
-        const double prev = points[i - 1].second;
-        const double delta =
-            prev == 0 ? 0.0 : (points[i].second / prev - 1.0) * 100.0;
-        std::printf("  %s  %14.6g  %+7.2f%%\n", points[i].first.c_str(),
-                    points[i].second, delta);
-      }
-    }
   }
   return 0;
 }
@@ -386,16 +284,18 @@ int cmd_check(const std::string& path, const std::string& schema_path) {
 
 // ---- live modes (scrape / trace / tail / top) ----
 
-serve::Client connect_serve(const std::string& socket_path,
-                            const std::string& port) {
-  if (!socket_path.empty()) {
-    return serve::Client::connect_unix(socket_path);
+/// Where the live modes connect: a unix socket path, else a TCP port
+/// on 127.0.0.1 (main() has checked that one of them is set).
+struct Endpoint {
+  std::string socket_path;
+  u32 port = 0;
+};
+
+serve::Client connect_serve(const Endpoint& at) {
+  if (!at.socket_path.empty()) {
+    return serve::Client::connect_unix(at.socket_path);
   }
-  if (!port.empty()) {
-    return serve::Client::connect_tcp(
-        static_cast<u16>(std::stoul(port)));
-  }
-  throw SimError("hulkv-stats: need --socket PATH or --port N");
+  return serve::Client::connect_tcp(static_cast<u16>(at.port));
 }
 
 /// One metrics-plane round trip (kMetrics or kTrace); returns the text
@@ -409,7 +309,7 @@ std::string fetch_text(serve::Client& client, serve::MsgType type,
   req.point = {0, 0, 0};
   const serve::Response resp = client.call(req);
   if (resp.status != serve::Status::kOk) {
-    throw SimError(std::string("hulkv-stats: server answered ") +
+    throw SimError(std::string("server answered ") +
                    serve::status_name(resp.status));
   }
   return resp.text;
@@ -462,23 +362,22 @@ constexpr const char* kStageNames[] = {
     "admission", "queue_wait",     "cache_lookup",
     "warm_fork", "execute",        "response_write"};
 
-int cmd_scrape(const std::string& socket_path, const std::string& port) {
-  serve::Client client = connect_serve(socket_path, port);
+int cmd_scrape(const Endpoint& at) {
+  serve::Client client = connect_serve(at);
   std::fputs(fetch_text(client, serve::MsgType::kMetrics, 1).c_str(),
              stdout);
   return 0;
 }
 
-int cmd_trace_op(const std::string& socket_path, const std::string& port) {
-  serve::Client client = connect_serve(socket_path, port);
+int cmd_trace_op(const Endpoint& at) {
+  serve::Client client = connect_serve(at);
   std::printf("%s\n",
               fetch_text(client, serve::MsgType::kTrace, 1).c_str());
   return 0;
 }
 
-int cmd_tail(const std::string& socket_path, const std::string& port,
-             u32 interval_ms, u64 count) {
-  serve::Client client = connect_serve(socket_path, port);
+int cmd_tail(const Endpoint& at, u32 interval_ms, u64 count) {
+  serve::Client client = connect_serve(at);
   std::map<std::string, double> prev;
   std::printf("%8s %8s %8s %8s %8s %8s %6s %6s %6s  %s\n", "req/s",
               "ok/s", "rej/s", "hit/s", "miss/s", "chunk/s", "queue",
@@ -526,9 +425,8 @@ int cmd_tail(const std::string& socket_path, const std::string& port,
   return 0;
 }
 
-int cmd_top(const std::string& socket_path, const std::string& port,
-            u32 interval_ms, u64 count) {
-  serve::Client client = connect_serve(socket_path, port);
+int cmd_top(const Endpoint& at, u32 interval_ms, u64 count) {
+  serve::Client client = connect_serve(at);
   for (u64 i = 0; count == 0 || i < count; ++i) {
     if (i != 0) {
       std::this_thread::sleep_for(
@@ -596,10 +494,6 @@ int usage() {
       "usage: hulkv-stats <command> [args]\n"
       "  list  <manifests.jsonl>...            one line per recorded run\n"
       "  agg   <manifests.jsonl> [--metric K]  aggregate metrics across runs\n"
-      "  diff  <a.jsonl> <b.jsonl> [--threshold-pct P]\n"
-      "                                        compare the latest runs\n"
-      "  trend <BENCH_simperf.json> [--metric N]\n"
-      "                                        baseline history over time\n"
       "  check <manifests.jsonl> [--schema scripts/manifest_schema.json]\n"
       "                                        validate run manifests\n"
       "  scrape --socket S | --port P          one kMetrics exposition\n"
@@ -611,75 +505,87 @@ int usage() {
   return 2;
 }
 
-/// --flag VALUE extractor: erases the pair from args when present.
-std::string take_flag(std::vector<std::string>& args,
-                      std::string_view flag) {
-  for (size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == flag) {
-      std::string value = args[i + 1];
-      args.erase(args.begin() + static_cast<long>(i),
-                 args.begin() + static_cast<long>(i) + 2);
-      return value;
-    }
-  }
-  return "";
+/// A command-line error: the message, then the usage text; exit 2.
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  return usage();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string_view cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
+  const std::string cmd = argv[1];
+  const bool live =
+      cmd == "scrape" || cmd == "trace" || cmd == "tail" || cmd == "top";
+  if (!live && cmd != "list" && cmd != "agg" && cmd != "check") {
+    return usage_error("hulkv-stats: unknown command '" + cmd + "'");
+  }
+
+  // Each command's flags; every one of them takes a value.
+  std::string metric;
+  std::string schema;
+  Endpoint at;
+  u32 interval_ms = 1000;
+  u64 count = 0;
+  cli::Parser parser("hulkv-stats");
+  if (cmd == "agg") parser.add_string("--metric", &metric, "");
+  if (cmd == "check") parser.add_string("--schema", &schema, "");
+  if (live) {
+    parser.add_string("--socket", &at.socket_path, "")
+        .add_u32("--port", &at.port, "");
+  }
+  if (cmd == "tail" || cmd == "top") {
+    parser.add_u32("--interval-ms", &interval_ms, "")
+        .add_u64("--count", &count, "");
+  }
+  // The manifest paths are positional; the flags, with the value that
+  // follows each `--flag` spelled without `=`, go to the parser.
+  std::vector<char*> flags = {argv[0]};
+  std::vector<std::string> files;
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("-")) {
+      files.emplace_back(arg);
+      continue;
+    }
+    flags.push_back(argv[i]);
+    if (arg.find('=') == std::string_view::npos && i + 1 < argc) {
+      flags.push_back(argv[++i]);
+    }
+  }
+  if (!parser.parse(static_cast<int>(flags.size()), flags.data())) {
+    return usage_error(parser.error());
+  }
+  if (live) {
+    if (!files.empty()) {
+      return usage_error("hulkv-stats: " + cmd + " takes no file, got \"" +
+                         files[0] + "\"");
+    }
+    if (at.port > 65535) {
+      return usage_error("hulkv-stats: --port " + std::to_string(at.port) +
+                         " is out of range (1-65535)");
+    }
+    if (at.socket_path.empty() && at.port == 0) {
+      return usage_error("hulkv-stats: " + cmd +
+                         " needs --socket PATH or --port N");
+    }
+  } else if (files.empty() || (cmd != "list" && files.size() != 1)) {
+    return usage_error("hulkv-stats: " + cmd + " takes " +
+                       (cmd == "list" ? "one or more manifest files"
+                                      : "exactly one manifest file"));
+  }
+
   try {
-    if (cmd == "list") {
-      if (args.empty()) return usage();
-      return cmd_list(args);
-    }
-    if (cmd == "agg") {
-      const std::string metric = take_flag(args, "--metric");
-      if (args.size() != 1) return usage();
-      return cmd_agg(args[0], metric);
-    }
-    if (cmd == "diff") {
-      const std::string threshold = take_flag(args, "--threshold-pct");
-      if (args.size() != 2) return usage();
-      return cmd_diff(args[0], args[1],
-                      threshold.empty() ? -1.0 : std::stod(threshold));
-    }
-    if (cmd == "trend") {
-      const std::string metric = take_flag(args, "--metric");
-      if (args.size() != 1) return usage();
-      return cmd_trend(args[0], metric);
-    }
-    if (cmd == "check") {
-      const std::string schema = take_flag(args, "--schema");
-      if (args.size() != 1) return usage();
-      return cmd_check(args[0], schema);
-    }
-    if (cmd == "scrape" || cmd == "trace" || cmd == "tail" ||
-        cmd == "top") {
-      const std::string socket_path = take_flag(args, "--socket");
-      const std::string port = take_flag(args, "--port");
-      const std::string interval = take_flag(args, "--interval-ms");
-      const std::string count = take_flag(args, "--count");
-      if (!args.empty()) return usage();
-      const u32 interval_ms =
-          interval.empty() ? 1000u
-                           : static_cast<u32>(std::stoul(interval));
-      const u64 iterations = count.empty() ? 0 : std::stoull(count);
-      if (cmd == "scrape") return cmd_scrape(socket_path, port);
-      if (cmd == "trace") return cmd_trace_op(socket_path, port);
-      if (cmd == "tail") {
-        return cmd_tail(socket_path, port, interval_ms, iterations);
-      }
-      return cmd_top(socket_path, port, interval_ms, iterations);
-    }
+    if (cmd == "list") return cmd_list(files);
+    if (cmd == "agg") return cmd_agg(files[0], metric);
+    if (cmd == "check") return cmd_check(files[0], schema);
+    if (cmd == "scrape") return cmd_scrape(at);
+    if (cmd == "trace") return cmd_trace_op(at);
+    if (cmd == "tail") return cmd_tail(at, interval_ms, count);
+    return cmd_top(at, interval_ms, count);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hulkv-stats: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "hulkv-stats: unknown command '%.*s'\n",
-               static_cast<int>(cmd.size()), cmd.data());
-  return usage();
 }
