@@ -372,6 +372,11 @@ struct CacheCase {
   Cycles fill_penalty;
 };
 
+// gtest puts the printed parameter into each listed test name. As raw
+// bytes a CacheCase shows its name pointer and padding, which change from
+// run to run, so print the name alone.
+void PrintTo(const CacheCase& c, std::ostream* os) { *os << c.name; }
+
 class CacheDiff : public ::testing::TestWithParam<CacheCase> {};
 
 TEST_P(CacheDiff, CyclesCountersAndDownstreamMatch) {
