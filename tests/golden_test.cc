@@ -4,7 +4,10 @@
 //    (tests/golden/bench/<bench>.txt), one ctest case per bench.
 //  * HulkVSoc::state_digest() after the cold and after the warm offload
 //    of the six Fig. 6 device kernels at the figure's sizes
-//    (tests/golden/offload_digests.txt).
+//    (tests/golden/offload_digests.txt), and of matmul-i8 and
+//    conv3x3-i8 dispatched to teams of 1, 3 and 5 cores, whose outputs
+//    are also checked against the golden models
+//    (tests/golden/offload_team_digests.txt).
 //  * state_digest() of host runs: three bounded mid-block checkpoints
 //    and the exit of a store/load/mul loop, and the warm and timed runs
 //    of the five Fig. 8 IoT programs on the shipped SoC
@@ -391,6 +394,64 @@ TEST(GoldenOffload, DigestsAfterColdAndWarmOffload) {
              hex_digest(soc.state_digest()) + "\n";
   }
   expect_golden("offload_digests.txt", lines);
+}
+
+/// The staged L2 buffer `p` read back as `count` values of T.
+template <typename T>
+std::vector<T> read_buffer(core::HulkVSoc& soc, u32 p, size_t count) {
+  std::vector<T> out(count);
+  soc.read_mem(p, out.data(), count * sizeof(T));
+  return out;
+}
+
+/// The L2 output of a matmul-i8 or conv3x3-i8 case equals the golden
+/// model on the staged inputs.
+void expect_output_matches_golden(core::HulkVSoc& soc, const std::string& label,
+                                  const std::vector<u32>& l2) {
+  std::vector<i32> want;
+  if (label == "matmul-i8") {
+    const u32 m = 96, n = 96, k = 96;
+    want.resize(m * n);
+    kernels::golden::matmul_i8(read_buffer<i8>(soc, l2[0], m * k),
+                               read_buffer<i8>(soc, l2[1], n * k), want, m,
+                               n, k);
+  } else {
+    ASSERT_EQ(label, "conv3x3-i8");
+    const u32 h = 64, w = 64;
+    want.resize((h - 2) * (w - 2));
+    kernels::golden::conv3x3_i8(read_buffer<i8>(soc, l2[0], h * w),
+                                read_buffer<i8>(soc, l2[1], 9), want, h, w);
+  }
+  EXPECT_EQ(read_buffer<i32>(soc, l2[2], want.size()), want) << label;
+}
+
+TEST(GoldenOffload, PartialTeamDigestsAndOutputs) {
+  // Both kernels split rows by hart id, so teams of 1, 3 and 5 cores
+  // leave cores idle, finish some cores early and wake partial teams
+  // at every barrier (tests/golden/offload_team_digests.txt).
+  std::string lines;
+  for (const u32 team : {1u, 3u, 5u}) {
+    for (OffloadCase& c : fig6_device_cases()) {
+      const std::string label = c.label;
+      if (label != "matmul-i8" && label != "conv3x3-i8") continue;
+      core::HulkVSoc soc;
+      runtime::OffloadRuntime rt(&soc);
+      Xoshiro256 rng(12345);
+      std::vector<u32> l2;
+      for (const Buffer& b : c.buffers) l2.push_back(stage(soc, rt, rng, b));
+      const std::vector<u32> args = c.args(l2);
+      const auto handle =
+          rt.register_kernel(c.label, c.device.words, c.device.symbols);
+      const std::string prefix = label + " team" + std::to_string(team);
+      rt.offload(handle, args, team);
+      expect_output_matches_golden(soc, label, l2);
+      lines += prefix + " cold " + hex_digest(soc.state_digest()) + "\n";
+      rt.offload(handle, args, team);
+      expect_output_matches_golden(soc, label, l2);
+      lines += prefix + " warm " + hex_digest(soc.state_digest()) + "\n";
+    }
+  }
+  expect_golden("offload_team_digests.txt", lines);
 }
 
 // ---------------------------------------------------------------------
