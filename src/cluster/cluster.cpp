@@ -164,19 +164,33 @@ Cluster::KernelResult Cluster::run_kernel(Cycles start_time, Addr entry,
   // whole run of instructions locally while it stays the laggard. The
   // resulting instruction interleaving (and with it every reservation
   // and cycle count) is identical to stepping one instruction at a time.
+  //
+  // A slice that parks hands over to the runner-up without waiting for
+  // the scan, which only supplies the next limit. That is the scan's own
+  // answer: a parked slice retired no envcall, so no other core's key or
+  // run state moved; the parked core's key reached the runner-up's and
+  // keys are unique, so it now lies above it; every other key was
+  // already at least the runner-up's. So the runner-up is the new
+  // minimum, and the fresh scan's second key is the new limit. Every
+  // other slice end (an envcall retired, the core left kRunning) takes
+  // both from the scan.
   sched_.reset(config_.num_cores);
   for (u32 c = 0; c < team_size; ++c) sched_.set(c, cores_[c]->now());
-  while (true) {
-    const CoreScheduler::Pick pick = sched_.pick();
-    if (pick.first == CoreScheduler::kIdle) break;
+  CoreScheduler::Pick pick = sched_.pick();
+  while (pick.first != CoreScheduler::kIdle) {
     const u32 c = CoreScheduler::id_of(pick.first);
     PmcaCore& core = *cores_[c];
-    core.run_slice(pick.second);
+    if (core.run_slice(pick.second)) {
+      sched_.set(c, core.now());
+      pick = {pick.second, sched_.pick().second};
+      continue;
+    }
     if (core.state() == PmcaCore::State::kRunning) {
       sched_.set(c, core.now());
     } else {
       sched_.remove(c);
     }
+    pick = sched_.pick();
   }
   // No runnable core left: either done, or a barrier deadlock.
   {

@@ -110,19 +110,37 @@ void PmcaCore::reset_for_run(Addr entry) {
   cursor_ = {};
 }
 
-bool PmcaCore::in_tcdm(Addr addr) const {
-  return addr >= tcdm_base_ && addr < tcdm_base_ + tcdm_size_;
+u32 PmcaCore::load_axi(Addr addr, u32 bytes, Cycles issue) {
+  u64 wide = 0;
+  const u64 claimed_before = profile::claimed();
+  cycle_ = std::max(
+      cycle_, bus_->read(issue, addr, &wide, bytes,
+                         mem::Master::kClusterCore));
+  // The LSU parks the core for the whole AXI round trip; downstream
+  // models (LLC, external memory) claimed their shares above, the
+  // crossbar/port remainder is the park itself.
+  profile::add(profile::Reason::kLsuPark,
+               profile::own_share(cycle_ - issue,
+                                  profile::claimed() - claimed_before));
+  stats_.increment("demand_axi_loads");
+  return static_cast<u32>(wide);
 }
 
-void PmcaCore::fetch_timing(Addr pc) {
-  const Addr line = align_down(pc, 32);
-  if (line != fetch_line_) {
-    fetch_line_ = line;
-    cycle_ = icache_->fetch(config_.core_id, cycle_, pc);
-  }
+void PmcaCore::store_axi(Addr addr, u32 value, u32 bytes, Cycles issue) {
+  // Posted write through the AXI port: occupancy advances, no stall —
+  // so the profiler must not attribute the hidden latency either.
+  const u64 wide = value;
+  const profile::SuppressGuard mute;
+  bus_->write(issue, addr, &wide, bytes, mem::Master::kClusterCore);
+  stats_.increment("demand_axi_stores");
 }
 
-u32 PmcaCore::load(Addr addr, u32 bytes, bool sign, Cycles issue) {
+// Inlined into each load and store handler (below), where `bytes` is a
+// constant: the TCDM copy becomes one move and a free bank a few
+// compares (Tcdm::access is inline). Demand accesses over the AXI port
+// stay out of line.
+[[gnu::always_inline]] inline u32 PmcaCore::load(Addr addr, u32 bytes,
+                                                 bool sign, Cycles issue) {
   ctr_loads_ += 1;
   u32 value = 0;
   if (in_tcdm(addr)) {
@@ -131,20 +149,7 @@ u32 PmcaCore::load(Addr addr, u32 bytes, bool sign, Cycles issue) {
     std::memcpy(&value, tcdm_data_ + (addr - tcdm_base_), bytes);
     cycle_ = std::max(cycle_, tcdm_->access(issue, addr - tcdm_base_, bytes));
   } else {
-    // Demand access over the cluster's AXI master port.
-    u64 wide = 0;
-    const u64 claimed_before = profile::claimed();
-    cycle_ = std::max(
-        cycle_, bus_->read(issue, addr, &wide, bytes,
-                           mem::Master::kClusterCore));
-    // The LSU parks the core for the whole AXI round trip; downstream
-    // models (LLC, external memory) claimed their shares above, the
-    // crossbar/port remainder is the park itself.
-    profile::add(profile::Reason::kLsuPark,
-                 profile::own_share(cycle_ - issue,
-                                    profile::claimed() - claimed_before));
-    value = static_cast<u32>(wide);
-    stats_.increment("demand_axi_loads");
+    value = load_axi(addr, bytes, issue);
   }
   if (trace::enabled() && cycle_ > issue + kStallThreshold) {
     trace_stall(issue, cycle_ - issue, addr);
@@ -153,7 +158,8 @@ u32 PmcaCore::load(Addr addr, u32 bytes, bool sign, Cycles issue) {
   return value;
 }
 
-void PmcaCore::store(Addr addr, u32 value, u32 bytes, Cycles issue) {
+[[gnu::always_inline]] inline void PmcaCore::store(Addr addr, u32 value,
+                                                   u32 bytes, Cycles issue) {
   ctr_stores_ += 1;
   if (in_tcdm(addr)) {
     HULKV_CHECK(addr + bytes <= tcdm_base_ + tcdm_size_,
@@ -161,12 +167,7 @@ void PmcaCore::store(Addr addr, u32 value, u32 bytes, Cycles issue) {
     std::memcpy(tcdm_data_ + (addr - tcdm_base_), &value, bytes);
     cycle_ = std::max(cycle_, tcdm_->access(issue, addr - tcdm_base_, bytes));
   } else {
-    // Posted write through the AXI port: occupancy advances, no stall —
-    // so the profiler must not attribute the hidden latency either.
-    const u64 wide = value;
-    const profile::SuppressGuard mute;
-    bus_->write(issue, addr, &wide, bytes, mem::Master::kClusterCore);
-    stats_.increment("demand_axi_stores");
+    store_axi(addr, value, bytes, issue);
   }
 }
 
@@ -187,7 +188,7 @@ inline void PmcaCore::apply_hwloops() {
   }
 }
 
-void PmcaCore::run_slice(u64 limit, u64 max_instrs) {
+bool PmcaCore::run_slice(u64 limit, u64 max_instrs) {
   HULKV_CHECK(state_ == State::kRunning, "stepping a non-running core");
   // With tracing on, every instruction is treated as shared so events
   // reach the process-global sink in exactly the per-instruction
@@ -197,11 +198,10 @@ void PmcaCore::run_slice(u64 limit, u64 max_instrs) {
   if (lockstep || profile::enabled()) {
     // Resolved once per slice; the unobserved loop carries none of the
     // per-retire observation code.
-    slice<true>(limit, max_instrs, lockstep,
-                profile::attach(prof_handle_, stats_.name()));
-  } else {
-    slice<false>(limit, max_instrs, false, nullptr);
+    return slice<true>(limit, max_instrs, lockstep,
+                       profile::attach(prof_handle_, stats_.name()));
   }
+  return slice<false>(limit, max_instrs, false, nullptr);
 }
 
 // The trap ops: environment calls, breakpoints, and every op the PMCA
@@ -926,7 +926,7 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
 // slice entry, so the profiler keys a slice that starts at a park point
 // by the suffix block starting there.
 template <bool kObserved>
-void PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
+bool PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
                      profile::CoreProfile* prof) {
   using PmcaFn = void (*)(PmcaCore&, const isa::threaded::ThreadedInstr&);
   if constexpr (kObserved) {
@@ -988,7 +988,7 @@ void PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
       if constexpr (kObserved) shared = shared || lockstep;
       if (shared && at_limit(limit)) {
         park(i);
-        return;  // yield before executing; the scheduler re-picks the min
+        return true;  // yield before executing: the runner-up goes next
       }
       if constexpr (kObserved) {
         if (prof != nullptr) prof->begin_instr(cycle_);
@@ -1013,7 +1013,7 @@ void PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
           apply_hwloops();
           pc_ = next_pc_;
         }
-        return;
+        return false;
       }
       reinterpret_cast<PmcaFn>(t.fn)(*this, t);
       ++instret_;
@@ -1025,8 +1025,9 @@ void PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
       pc_ = next_pc_;
       const bool fell_through = pc_ == t.pc + 4;
       if (executed >= max_instrs) {
+        // A cursor but not a park: the key may still be below the limit.
         if (fell_through && i + 1 < count) park(i + 1);
-        return;
+        return false;
       }
       if (!fell_through) break;  // taken branch or hw-loop back edge
     }

@@ -82,8 +82,10 @@ class PmcaCore {
   /// the runner-up core's key (CoreScheduler::kIdle: no limit) so
   /// time-ordering of shared-resource reservations is exactly that of
   /// per-instruction min-clock scheduling. Executes at least one and at
-  /// most `max_instrs` instructions.
-  void run_slice(u64 limit, u64 max_instrs = UINT64_MAX);
+  /// most `max_instrs` instructions. Returns true when the slice parked:
+  /// it stopped at the limit in front of a shared instruction. A slice
+  /// that retires an envcall or runs out of `max_instrs` returns false.
+  bool run_slice(u64 limit, u64 max_instrs = UINT64_MAX);
 
   // ---- state ----
   State state() const { return state_; }
@@ -162,7 +164,7 @@ class PmcaCore {
   /// retire for the profiler and the tracers (`lockstep`: tracing is on,
   /// every instruction counts as shared).
   template <bool kObserved>
-  void slice(u64 limit, u64 max_instrs, bool lockstep,
+  bool slice(u64 limit, u64 max_instrs, bool lockstep,
              profile::CoreProfile* prof);
   /// set_trace's per-instruction disassembly log.
   void log_instr(const isa::Instr& instr) const;
@@ -174,12 +176,15 @@ class PmcaCore {
     return CoreScheduler::key(cycle_, config_.core_id) >= limit;
   }
   void apply_hwloops();
-  /// Cluster I-cache timing for a fetch at `pc`: paid once per line.
-  void fetch_timing(Addr pc);
 
   u32 load(Addr addr, u32 bytes, bool sign, Cycles issue);
   void store(Addr addr, u32 value, u32 bytes, Cycles issue);
-  bool in_tcdm(Addr addr) const;
+  /// Demand accesses outside the TCDM, over the cluster's AXI port.
+  u32 load_axi(Addr addr, u32 bytes, Cycles issue);
+  void store_axi(Addr addr, u32 value, u32 bytes, Cycles issue);
+  bool in_tcdm(Addr addr) const {
+    return addr >= tcdm_base_ && addr < tcdm_base_ + tcdm_size_;
+  }
 
   struct HwLoop {
     Addr start = 0;

@@ -36,11 +36,7 @@ void Tcdm::trace_access(Cycles now) {
   pending_accesses_ = 0;
 }
 
-Cycles Tcdm::access(Cycles now, Addr offset, u32 bytes) {
-  HULKV_CHECK(offset + bytes <= storage_.size(), "TCDM access out of range");
-  ctr_accesses_ += 1;
-  if (trace::enabled()) trace_access(now);
-
+Cycles Tcdm::access_words(Cycles now, Addr offset, u32 bytes) {
   // A scalar access touches one bank; a wide (DMA) access touches
   // ceil(bytes/word) consecutive banks, one word per bank per cycle.
   // Iterate the word-aligned span so an unaligned access that straddles

@@ -29,8 +29,24 @@ class Tcdm {
   explicit Tcdm(const TcdmConfig& config);
 
   /// Model one core-side access of `bytes` at TCDM-relative `offset`,
-  /// issued at `now`. Returns the completion cycle (>= now + 1).
-  Cycles access(Cycles now, Addr offset, u32 bytes);
+  /// issued at `now`. Returns the completion cycle (>= now + 1). A
+  /// one-word access to a free bank resolves here, inline in the
+  /// caller; a bank conflict and an access that straddles two words go
+  /// out of line (tcdm.cpp). Forced inline into the PMCA load and store
+  /// handlers, like CacheModel::access into the host's.
+  [[gnu::always_inline]] Cycles access(Cycles now, Addr offset, u32 bytes) {
+    HULKV_CHECK(offset + bytes <= storage_.size(),
+                "TCDM access out of range");
+    ctr_accesses_ += 1;
+    if (trace::enabled()) trace_access(now);
+    Cycles& bank_free = bank_free_[bank_of(offset)];
+    if (((offset ^ (offset + bytes - 1)) >> word_shift_) != 0 ||
+        bank_free > now) {
+      return access_words(now, offset, bytes);
+    }
+    bank_free = now + 1;
+    return now + 1;
+  }
 
   /// Functional storage (also exposed to the SoC bus for host access).
   std::vector<u8>& storage() { return storage_; }
@@ -49,6 +65,9 @@ class Tcdm {
   }
 
  private:
+  /// Out of line: the bank reservation of every word `bytes` at
+  /// `offset` touches, with conflicts counted, traced and profiled.
+  Cycles access_words(Cycles now, Addr offset, u32 bytes);
   void trace_access(Cycles now);
 
   TcdmConfig config_;

@@ -9,7 +9,8 @@
 //    interpreter that preceded the handlers produced (pinned below; the
 //    byte-level goldens live in golden_test),
 //  * a cluster core parked mid-block resumes from its cursor only while
-//    the block and its fetch line are still current,
+//    the block and its fetch line are still current, and run_slice()
+//    reports a park at the limit and no other slice end,
 //  * trap errors name the op and the pc in hex.
 #include <gtest/gtest.h>
 
@@ -344,6 +345,99 @@ TEST(ThreadedCursor, ResetForRunAtParkedPcAfterSimErrorMatchesFreshSoc) {
   core::HulkVSoc fresh(fast_config());
   fresh.load_program(kCode, words);
   EXPECT_EQ(restart(faulted), restart(fresh));
+}
+
+// run_slice() reports a park, and only a park: Cluster::run_kernel
+// hands the next slice to the runner-up on that report alone.
+
+TEST(ThreadedCursor, RunSliceReportsParkInFrontOfSharedInstruction) {
+  core::HulkVSoc soc(fast_config());
+  cluster::PmcaCore& core = soc.cluster().core(0);
+  soc.load_program(kCode, store_seven(0));
+  core.reset_for_run(kCode);
+  const u64 limit = cluster::CoreScheduler::key(core.now(), 1);
+  EXPECT_TRUE(core.run_slice(limit));
+  EXPECT_EQ(core.state(), cluster::PmcaCore::State::kRunning);
+  EXPECT_EQ(core.pc(), kCode + 8);  // in front of the store
+  EXPECT_GE(cluster::CoreScheduler::key(core.now(), 0), limit);
+  u32 word = 1;
+  soc.read_mem(kTcdmBase, &word, 4);
+  EXPECT_EQ(word, 0u);  // the store has not run
+}
+
+TEST(ThreadedCursor, RunSliceDoesNotReportParkWhenEnvcallRetires) {
+  // Exit, barrier and DMA each end the slice at the ecall, far below
+  // the limit, in the state the envcall leaves. A finished core keeps
+  // the ecall's pc; the others commit the pc after it.
+  using State = cluster::PmcaCore::State;
+  const std::tuple<u64, State, Addr> cases[] = {
+      {cluster::envcall::kExit, State::kFinished, 0},
+      {cluster::envcall::kBarrier, State::kBlocked, 4},
+      {cluster::envcall::kDma1d, State::kRunning, 4}};
+  for (const auto& [func, state, pc_step] : cases) {
+    core::HulkVSoc soc(fast_config());
+    cluster::PmcaCore& core = soc.cluster().core(0);
+    Assembler a(kCode, /*rv64=*/false);
+    a.li(a0, static_cast<i64>(kTcdmBase));  // DMA: 64 bytes of code
+    a.li(a1, static_cast<i64>(kCode));      // into the TCDM
+    a.li(a2, 64);
+    a.li(a7, static_cast<i64>(func));
+    a.label("call");
+    a.ecall();
+    a.li(a7, cluster::envcall::kExit);
+    a.ecall();
+    soc.load_program(kCode, a.assemble());
+    core.reset_for_run(kCode);
+    const u64 limit = cluster::CoreScheduler::key(core.now() + 10000, 1);
+    EXPECT_FALSE(core.run_slice(limit)) << "envcall " << func;
+    EXPECT_EQ(core.state(), state) << "envcall " << func;
+    EXPECT_EQ(core.pc(), a.address_of("call") + pc_step)
+        << "envcall " << func;
+  }
+}
+
+TEST(ThreadedCursor, RunSliceBudgetStopMidBlockIsNotPark) {
+  // Two ALU ops past the limit: neither is shared, so the slice runs
+  // through them and the budget stops it mid-block with a cursor set.
+  // The rest of the run matches an uninterrupted one.
+  Assembler a(kCode, /*rv64=*/false);
+  a.addi(t0, zero, 1);
+  a.addi(t1, t0, 2);
+  a.addi(t2, t1, 3);
+  a.li(a7, cluster::envcall::kExit);
+  a.ecall();
+  const std::vector<u32> words = a.assemble();
+  const auto run = [&](bool bounded) {
+    core::HulkVSoc soc(fast_config());
+    cluster::PmcaCore& core = soc.cluster().core(0);
+    soc.load_program(kCode, words);
+    core.reset_for_run(kCode);
+    if (bounded) {
+      const u64 limit = cluster::CoreScheduler::key(core.now(), 1);
+      EXPECT_FALSE(core.run_slice(limit, /*max_instrs=*/2));
+      EXPECT_EQ(core.state(), cluster::PmcaCore::State::kRunning);
+      EXPECT_EQ(core.pc(), kCode + 8);
+      EXPECT_GE(cluster::CoreScheduler::key(core.now(), 0), limit);
+    }
+    run_alone(core);
+    return std::make_tuple(core.now(), core.instret(), core.reg(t2),
+                           soc.state_digest());
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(ThreadedCursor, RunSliceLoneCoreWithIdleLimitNeverParks) {
+  // kIdle is no limit: the store, a shared instruction, runs in the
+  // same slice, which ends at the exit.
+  core::HulkVSoc soc(fast_config());
+  cluster::PmcaCore& core = soc.cluster().core(0);
+  soc.load_program(kCode, store_seven(0));
+  core.reset_for_run(kCode);
+  EXPECT_FALSE(core.run_slice(cluster::CoreScheduler::kIdle));
+  EXPECT_EQ(core.state(), cluster::PmcaCore::State::kFinished);
+  u32 word = 0;
+  soc.read_mem(kTcdmBase, &word, 4);
+  EXPECT_EQ(word, 7u);
 }
 
 // ---------------------------------------------------------------------
