@@ -33,10 +33,6 @@ ClusterIcache::ClusterIcache(u32 num_cores,
   }
 }
 
-Cycles ClusterIcache::fetch(u32 core_id, Cycles now, Addr pc) {
-  return private_[core_id]->access(now, pc, 4, /*is_write=*/false);
-}
-
 void ClusterIcache::flush() {
   shared_->flush();
   for (auto& cache : private_) cache->flush();

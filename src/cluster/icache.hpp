@@ -25,7 +25,9 @@ class ClusterIcache {
   ClusterIcache(u32 num_cores, const ClusterIcacheConfig& config);
 
   /// Fetch timing for `core_id` at `pc`. Returns the completion cycle.
-  Cycles fetch(u32 core_id, Cycles now, Addr pc);
+  Cycles fetch(u32 core_id, Cycles now, Addr pc) {
+    return private_[core_id]->access(now, pc, 4, /*is_write=*/false);
+  }
 
   /// True when `pc`'s line sits in `core_id`'s private level: the fetch
   /// would complete without touching the shared level, so it is a
