@@ -4,12 +4,14 @@
 # reports carry the required headline metric keys. CI-friendly: exits
 # non-zero when a bench fails or a key is missing.
 #
-# Usage: scripts/bench_report.sh [output-dir]   (default: repo root)
+# Usage: scripts/bench_report.sh [output-dir]
+#   (default: $BUILD_DIR/bench_report, inside the build tree that
+#   .gitignore already covers; BUILD_DIR defaults to build/)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${BUILD_DIR:-$repo_root/build}"
-out_dir="${1:-$repo_root}"
+out_dir="${1:-$build_dir/bench_report}"
 mkdir -p "$out_dir"
 # Absolutize: the benches receive this path, and a relative one would
 # silently depend on the caller's working directory.
