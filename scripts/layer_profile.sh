@@ -17,7 +17,11 @@
 #   block lookup       BlockCache probes/translation, lowering, decode
 #   scheduler          CoreScheduler, Cluster::run_kernel, envcalls,
 #                      event unit
-#   TCDM               Tcdm banks and the cluster DMA
+#   TCDM               Tcdm banks and the cluster DMA. A one-word
+#                      access to a free bank is inlined into the PMCA
+#                      load/store handlers (dispatch/handlers); this
+#                      row holds bank conflicts, accesses that straddle
+#                      two words, and the DMA.
 #   L1/LLC/DRAM        cache models, LLC, external memories, the bus.
 #                      The host's L1 hit path is inlined into the
 #                      load/store handlers and Cva6Core::fetch_new_line,
@@ -29,7 +33,10 @@
 #
 # gprof samples only the main thread and -pg inflates small functions,
 # so read the shares as coarse; compare two trees on the same machine
-# in the same phase. Prints one table row per layer and the top
+# in the same phase. -pg also puts an mcount call in every out-of-line
+# function, which serialises the CPU there: it cannot show two cluster
+# slices overlapping, so time the scheduler with traced perfbench
+# (cluster.ns_per_instr) and not with this table. Prints one table row per layer and the top
 # functions of each.
 set -euo pipefail
 

@@ -37,10 +37,9 @@ void Tcdm::trace_access(Cycles now) {
 }
 
 Cycles Tcdm::access_words(Cycles now, Addr offset, u32 bytes) {
-  // A scalar access touches one bank; a wide (DMA) access touches
-  // ceil(bytes/word) consecutive banks, one word per bank per cycle.
-  // Iterate the word-aligned span so an unaligned access that straddles
-  // two words pays both banks (RI5CY splits such accesses in two).
+  // A scalar access touches one bank. Iterate the word-aligned span so
+  // an unaligned access that straddles two words pays both banks (RI5CY
+  // splits such accesses in two), one word per bank per cycle.
   Cycles done = now;
   const Addr first = offset & ~static_cast<Addr>(config_.word_bytes - 1);
   for (Addr a = first; a < offset + bytes; a += config_.word_bytes) {

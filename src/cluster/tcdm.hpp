@@ -40,6 +40,8 @@ class Tcdm {
     ctr_accesses_ += 1;
     if (trace::enabled()) trace_access(now);
     Cycles& bank_free = bank_free_[bank_of(offset)];
+    // Out of line when the last byte lies in another word, or the bank
+    // is still serving an earlier request.
     if (((offset ^ (offset + bytes - 1)) >> word_shift_) != 0 ||
         bank_free > now) {
       return access_words(now, offset, bytes);
