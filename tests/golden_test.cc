@@ -375,23 +375,36 @@ std::vector<IotWorkload> fig8_iot_workloads() {
   return list;
 }
 
+/// Called after each offload with the SoC and the buffers' L2 addresses.
+using OffloadCheck =
+    std::function<void(core::HulkVSoc&, const std::vector<u32>&)>;
+
+/// Stage `c` on the shipped SoC (HyperRAM + LLC), offload it cold and
+/// then warm to `team` cores (0: the whole cluster), and append
+/// "<prefix> cold|warm <state_digest()>" to `lines`.
+void append_cold_and_warm_digests(OffloadCase& c, u32 team,
+                                  const std::string& prefix,
+                                  std::string& lines,
+                                  const OffloadCheck& check = nullptr) {
+  core::HulkVSoc soc;
+  runtime::OffloadRuntime rt(&soc);
+  Xoshiro256 rng(12345);
+  std::vector<u32> l2;
+  for (const Buffer& b : c.buffers) l2.push_back(stage(soc, rt, rng, b));
+  const std::vector<u32> args = c.args(l2);
+  const auto handle =
+      rt.register_kernel(c.label, c.device.words, c.device.symbols);
+  for (const char* run : {"cold", "warm"}) {
+    rt.offload(handle, args, team);  // cold: includes the lazy code load
+    if (check) check(soc, l2);
+    lines += prefix + " " + run + " " + hex_digest(soc.state_digest()) + "\n";
+  }
+}
+
 TEST(GoldenOffload, DigestsAfterColdAndWarmOffload) {
   std::string lines;
   for (OffloadCase& c : fig6_device_cases()) {
-    core::HulkVSoc soc;  // the shipped SoC: HyperRAM + LLC
-    runtime::OffloadRuntime rt(&soc);
-    Xoshiro256 rng(12345);
-    std::vector<u32> l2;
-    for (const Buffer& b : c.buffers) l2.push_back(stage(soc, rt, rng, b));
-    const std::vector<u32> args = c.args(l2);
-    const auto handle =
-        rt.register_kernel(c.label, c.device.words, c.device.symbols);
-    rt.offload(handle, args);  // cold: includes the lazy code load
-    lines += std::string(c.label) + " cold " +
-             hex_digest(soc.state_digest()) + "\n";
-    rt.offload(handle, args);
-    lines += std::string(c.label) + " warm " +
-             hex_digest(soc.state_digest()) + "\n";
+    append_cold_and_warm_digests(c, 0, c.label, lines);
   }
   expect_golden("offload_digests.txt", lines);
 }
@@ -434,21 +447,11 @@ TEST(GoldenOffload, PartialTeamDigestsAndOutputs) {
     for (OffloadCase& c : fig6_device_cases()) {
       const std::string label = c.label;
       if (label != "matmul-i8" && label != "conv3x3-i8") continue;
-      core::HulkVSoc soc;
-      runtime::OffloadRuntime rt(&soc);
-      Xoshiro256 rng(12345);
-      std::vector<u32> l2;
-      for (const Buffer& b : c.buffers) l2.push_back(stage(soc, rt, rng, b));
-      const std::vector<u32> args = c.args(l2);
-      const auto handle =
-          rt.register_kernel(c.label, c.device.words, c.device.symbols);
-      const std::string prefix = label + " team" + std::to_string(team);
-      rt.offload(handle, args, team);
-      expect_output_matches_golden(soc, label, l2);
-      lines += prefix + " cold " + hex_digest(soc.state_digest()) + "\n";
-      rt.offload(handle, args, team);
-      expect_output_matches_golden(soc, label, l2);
-      lines += prefix + " warm " + hex_digest(soc.state_digest()) + "\n";
+      append_cold_and_warm_digests(
+          c, team, label + " team" + std::to_string(team), lines,
+          [&](core::HulkVSoc& soc, const std::vector<u32>& l2) {
+            expect_output_matches_golden(soc, label, l2);
+          });
     }
   }
   expect_golden("offload_team_digests.txt", lines);
