@@ -11,9 +11,11 @@
 # build tree; perfbench/ itself is only read), runs it there, and
 # buckets gprof's flat-profile self time by function name into:
 #
-#   dispatch/handlers  ISS dispatch and slice loops (the compiler
-#                      inlines them into Cva6Core::run and
-#                      PmcaCore::run_slice), handlers, traps
+#   dispatch/handlers  ISS dispatch and slice loops
+#                      (Cva6Core::dispatch, PmcaCore::slice),
+#                      handlers, traps. gprof books a loop that GCC
+#                      turned into a local clone (.isra) under the
+#                      global function before it, e.g. Cva6Core::trap
 #   block lookup       BlockCache probes/translation, lowering, decode
 #   scheduler          CoreScheduler, Cluster::run_kernel, envcalls,
 #                      event unit

@@ -10,7 +10,6 @@
 #include "common/half.hpp"
 #include "common/log.hpp"
 #include "isa/disasm.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace hulkv::cluster {
 
@@ -58,11 +57,20 @@ PmcaCore::PmcaCore(const PmcaCoreConfig& config, Tcdm* tcdm, Addr tcdm_base,
       ctr_simd_ops_(stats_.counter("simd_ops")),
       ctr_taken_branches_(stats_.counter("taken_branches")),
       ctr_hwloop_backedges_(stats_.counter("hwloop_backedges")),
-      blocks_([bus](Addr pc) {
-        u32 word = 0;
-        bus->read_functional(pc, &word, 4);
-        return word;
-      }) {
+      blocks_(
+          [bus](Addr pc) {
+            u32 word = 0;
+            bus->read_functional(pc, &word, 4);
+            return word;
+          },
+          {.resolve =
+               [](Op op, const void* ctx) {
+                 return threaded_resolve(
+                     op, *static_cast<const PmcaCoreConfig*>(ctx));
+               },
+           .ctx = &config_,
+           .line_bytes = 32,
+           .want_shared = true}) {
   HULKV_CHECK(tcdm != nullptr && icache != nullptr && bus != nullptr,
               "PMCA core needs TCDM, I-cache and bus");
 }
@@ -924,7 +932,9 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
 // batch; under tracing (lockstep) every instruction counts as shared.
 // It never resumes from the cursor: it probes the block cache at every
 // slice entry, so the profiler keys a slice that starts at a park point
-// by the suffix block starting there.
+// by the suffix block starting there. Within a slice, both
+// instantiations reach the next block through the successor link of the
+// block just left (BlockCache::follow, DESIGN.md §10).
 template <bool kObserved>
 bool PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
                      profile::CoreProfile* prof) {
@@ -936,7 +946,7 @@ bool PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
   u64 executed = 0;
   // Resume in front of the instruction the last slice stopped at: no
   // block probe, and no suffix block translated at a mid-block pc. The
-  // generation proves the block (and its lowering) is still current.
+  // generation proves the block (decode and lowering) is still current.
   // Skipping the entry kFlagLineCheck of a suffix block is exact because
   // fetch_line_ still holds the line of the instruction before: only
   // this loop moved pc_ or fetch_line_ since the park (every other
@@ -944,6 +954,8 @@ bool PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
   const ResumeCursor resume = cursor_;
   cursor_.block = nullptr;
   isa::DecodedBlock* block = nullptr;
+  isa::DecodedBlock* entry = nullptr;
+  isa::DecodedBlock** link = &entry;  // successor link to follow next
   size_t i = 0;
   if (!kObserved && resume.block != nullptr &&
       resume.generation == blocks_.generation() &&
@@ -956,17 +968,7 @@ bool PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
   };
   while (true) {
     if (block == nullptr) {
-      block = &blocks_.block_at(pc_);
-      if (block->threaded.generation != block->generation) {
-        const telemetry::Span span(telemetry::SpanPhase::kThreadedLower);
-        isa::threaded::lower(
-            *block, 32, /*want_shared=*/true,
-            [](isa::Op op, const void* ctx) {
-              return threaded_resolve(
-                  op, *static_cast<const PmcaCoreConfig*>(ctx));
-            },
-            &config_, &block->threaded);
-      }
+      block = &blocks_.follow(*link, pc_);
       i = 0;
     }
     const size_t count = block->threaded.code.size();
@@ -1031,6 +1033,7 @@ bool PmcaCore::slice(u64 limit, u64 max_instrs, bool lockstep,
       }
       if (!fell_through) break;  // taken branch or hw-loop back edge
     }
+    link = i < count ? &block->taken : &block->fall_through;
     block = nullptr;
   }
 }

@@ -68,6 +68,9 @@ class PmcaCore {
 
   PmcaCore(const PmcaCoreConfig& config, Tcdm* tcdm, Addr tcdm_base,
            ClusterIcache* icache, mem::SocBus* bus);
+  // The block cache lowers with a pointer to config_: the core stays put.
+  PmcaCore(const PmcaCore&) = delete;
+  PmcaCore& operator=(const PmcaCore&) = delete;
 
   /// Prepare for a new kernel: clear registers and loops, set the entry
   /// point, keep the clock (time continues across offloads).
@@ -162,10 +165,12 @@ class PmcaCore {
   /// opcode switch or field decode. The unobserved instantiation starts
   /// at cursor_ when it is still valid; the observed one brackets each
   /// retire for the profiler and the tracers (`lockstep`: tracing is on,
-  /// every instruction counts as shared).
+  /// every instruction counts as shared). Each instantiation is a
+  /// function of its own, like Cva6Core::dispatch.
   template <bool kObserved>
-  bool slice(u64 limit, u64 max_instrs, bool lockstep,
-             profile::CoreProfile* prof);
+  [[gnu::noinline]] HULKV_HOT_CODE bool slice(u64 limit, u64 max_instrs,
+                                              bool lockstep,
+                                              profile::CoreProfile* prof);
   /// set_trace's per-instruction disassembly log.
   void log_instr(const isa::Instr& instr) const;
   /// Observed retire: close the profiler bracket, batch the commit.

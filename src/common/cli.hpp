@@ -1,12 +1,11 @@
 // Shared command-line parsing (hulkv::cli).
 //
-// One declarative flag table serves every binary in the repo: the 8
-// bench binaries (via report::bench_args_or_exit — both `--flag value`
-// and `--flag=value` spellings, optional-value flags that never
-// consume the next argument, unknown flags an error except where
-// simperf passes them through to google-benchmark) and the serve
-// daemon/load generator (a typo'd flag is a hard error, not a silently
-// ignored one, plus a generated usage text).
+// One declarative flag table serves every binary in the repo: the 7
+// figure benches and offload_matmul (via report::bench_args_or_exit —
+// both `--flag value` and `--flag=value` spellings, optional-value
+// flags that never consume the next argument, unknown flags an error)
+// and the serve daemon/load generator (a typo'd flag is a hard error,
+// not a silently ignored one, plus a generated usage text).
 #pragma once
 
 #include <string>
@@ -39,7 +38,7 @@ class Parser {
                              std::string* value, std::string help);
 
   enum class OnUnknown : u8 {
-    kIgnore,  // benches: unknown flags belong to a wrapped tool
+    kIgnore,  // skip unknown flags (parsing part of a command line)
     kError,   // tools: unknown flags are a usage error
   };
 

@@ -48,3 +48,10 @@ class SimError : public std::runtime_error {
                               std::to_string(__LINE__));                   \
     }                                                                      \
   } while (0)
+
+/// Hot simulator code (the dispatch and slice loops, the host load/store
+/// handlers, fetch and the cache miss path) starts a 64-byte line, so an
+/// edit elsewhere in the binary cannot move it across cache lines and
+/// blur an A/B timing. scripts/ci.sh checks the addresses (DESIGN.md
+/// §15.5).
+#define HULKV_HOT_CODE [[gnu::aligned(64)]]

@@ -61,11 +61,20 @@ Cva6Core::Cva6Core(const Cva6Config& config, mem::SocBus* bus)
       ctr_stores_(stats_.counter("stores")),
       ctr_taken_branches_(stats_.counter("taken_branches")),
       ctr_branch_mispredicts_(stats_.counter("branch_mispredicts")),
-      blocks_([bus](Addr pc) {
-        u32 word = 0;
-        bus->read_functional(pc, &word, 4);
-        return word;
-      }) {
+      blocks_(
+          [bus](Addr pc) {
+            u32 word = 0;
+            bus->read_functional(pc, &word, 4);
+            return word;
+          },
+          {.resolve =
+               [](Op op, const void* ctx) {
+                 return threaded_resolve(
+                     op, *static_cast<const Cva6Config*>(ctx));
+               },
+           .ctx = &config_,
+           .line_bytes = config.icache.line_bytes,
+           .want_shared = false}) {
   HULKV_CHECK(bus != nullptr, "core needs a bus");
   HULKV_CHECK(bus->dram_timing() != nullptr,
               "attach external memory to the bus before building the core");
@@ -344,37 +353,37 @@ struct ThreadedHost {
     branch(c, t, c.x_[t.rs1] >= c.x_[t.rs2]);
   }
 
-  static void lb(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void lb(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 1, true));
   }
-  static void lh(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void lh(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 2, true));
   }
-  static void lw(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void lw(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 4, true));
   }
-  static void lbu(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void lbu(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 1, false));
   }
-  static void lhu(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void lhu(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 2, false));
   }
-  static void lwu(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void lwu(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 4, false));
   }
-  static void ld(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void ld(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 8, false));
   }
-  static void sb(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void sb(Cva6Core& c, const TI& t) {
     c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 1);
   }
-  static void sh(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void sh(Cva6Core& c, const TI& t) {
     c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 2);
   }
-  static void sw(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void sw(Cva6Core& c, const TI& t) {
     c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 4);
   }
-  static void sd(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void sd(Cva6Core& c, const TI& t) {
     c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 8);
   }
 
@@ -573,17 +582,17 @@ struct ThreadedHost {
     wr32(c, t.rd, b == 0 ? a : a % b);
   }
 
-  static void flw(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void flw(Cva6Core& c, const TI& t) {
     c.set_freg(t.rd,
                0xFFFFFFFF00000000ull | c.load(c.x_[t.rs1] + t.imm, 4, false));
   }
-  static void fld(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void fld(Cva6Core& c, const TI& t) {
     c.set_freg(t.rd, c.load(c.x_[t.rs1] + t.imm, 8, false));
   }
-  static void fsw(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void fsw(Cva6Core& c, const TI& t) {
     c.store(c.x_[t.rs1] + t.imm, static_cast<u32>(c.f_[t.rs2]), 4);
   }
-  static void fsd(Cva6Core& c, const TI& t) {
+  HULKV_HOT_CODE static void fsd(Cva6Core& c, const TI& t) {
     c.store(c.x_[t.rs1] + t.imm, c.f_[t.rs2], 8);
   }
   static void fadds(Cva6Core& c, const TI& t) {
@@ -877,6 +886,13 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
 // `next_pc_ == pc_` retire invariant. Trap ops (flags & kFlagTrap)
 // retire through trap() at their exact pc.
 //
+// The next block comes through the successor link of the block just
+// left (BlockCache::follow, DESIGN.md §10): the fall-through link after
+// running off the block's end or a returning trap, the taken link after
+// a control tail that went elsewhere. The block probe is deferred to
+// the top of the loop, so a bounded run whose budget is spent
+// translates nothing more.
+//
 // The observed instantiation adds, per retired instruction, the
 // profiler bracket, the set_trace disassembly log and the trace commit
 // batch; the unobserved one carries none of that code.
@@ -888,20 +904,12 @@ void Cva6Core::dispatch(u64 max_instructions, u64 start_instret,
     profile::detail::g_observed_entries.fetch_add(1,
                                                   std::memory_order_relaxed);
   }
+  isa::DecodedBlock* entry = nullptr;
+  isa::DecodedBlock** link = &entry;  // successor link to follow next
   // exited_ is false on entry (run() clears it) and only trap() can set
   // it, so it is re-checked only after a trap, not per block.
   while (!kBounded || instret_ - start_instret < max_instructions) {
-    isa::DecodedBlock& block = blocks_.block_at(pc_);
-    if (block.threaded.generation != block.generation) {
-      const telemetry::Span span(telemetry::SpanPhase::kThreadedLower);
-      isa::threaded::lower(
-          block, config_.icache.line_bytes, /*want_shared=*/false,
-          [](isa::Op op, const void* ctx) {
-            return threaded_resolve(op,
-                                    *static_cast<const Cva6Config*>(ctx));
-          },
-          &config_, &block.threaded);
-    }
+    isa::DecodedBlock& block = blocks_.follow(*link, pc_);
     const isa::threaded::ThreadedInstr* const code =
         block.threaded.code.data();
     const size_t size = block.threaded.code.size();
@@ -941,18 +949,25 @@ void Cva6Core::dispatch(u64 max_instructions, u64 start_instret,
       if constexpr (kObserved) observe_retire(prof, block, i);
       pc_ = next_pc_;
       if (exited_) return;
-      continue;  // a syscall may have loaded code: probe again
+      // A syscall may have loaded code; follow() checks the generation.
+      link = &block.fall_through;
+      continue;
     }
     if (block.threaded.control_tail && i == size) {
       next_pc_ = pc_;
       // Tight-loop fast path: the tail branch re-entered this same
       // block, and nothing in a handler-only run can invalidate the
-      // cache or exit — skip the probe and generation re-check.
-      if (!kBounded && pc_ == block.start) goto run_block;
+      // cache or exit, so the block is current. A bounded run recomputes
+      // its budget at run_block: a spent budget runs nothing and leaves
+      // pc_ at the loop head.
+      if (pc_ == block.start) goto run_block;
+      link = pc_ == block.start + 4 * size ? &block.fall_through
+                                           : &block.taken;
       continue;
     }
     pc_ = block.start + 4 * i;  // fall-through or budget cut
     next_pc_ = pc_;
+    link = &block.fall_through;
   }
 }
 

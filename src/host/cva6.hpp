@@ -101,6 +101,9 @@ class Cva6Core {
   using WfiHandler = std::function<Cycles(Cycles now)>;
 
   Cva6Core(const Cva6Config& config, mem::SocBus* bus);
+  // The block cache lowers with a pointer to config_: the core stays put.
+  Cva6Core(const Cva6Core&) = delete;
+  Cva6Core& operator=(const Cva6Core&) = delete;
 
   // ---- architectural state ----
   u64 reg(u8 index) const { return x_[index]; }
@@ -166,10 +169,12 @@ class Cva6Core {
   /// per-instruction decode/switch/cache-probe. The observed
   /// instantiation brackets each retire for the profiler and the
   /// tracers; kBounded is whether the instruction budget can bind
-  /// (run()'s default UINT64_MAX cannot).
+  /// (run()'s default UINT64_MAX cannot). Each instantiation is a
+  /// function of its own, so the observed loops' bytes cannot move the
+  /// unobserved ones.
   template <bool kObserved, bool kBounded>
-  void dispatch(u64 max_instructions, u64 start_instret,
-                profile::CoreProfile* prof);
+  [[gnu::noinline]] HULKV_HOT_CODE void dispatch(
+      u64 max_instructions, u64 start_instret, profile::CoreProfile* prof);
   /// set_trace's per-instruction disassembly log.
   void log_instr(Addr pc, const isa::Instr& instr) const;
   /// Observed retire: close the profiler bracket, batch the commit.
@@ -181,7 +186,7 @@ class Cva6Core {
       fetch_new_line(pc);
     }
   }
-  void fetch_new_line(Addr pc);
+  HULKV_HOT_CODE void fetch_new_line(Addr pc);
   /// A TLB translation of `addr` at cycle_, booked as one walk stall.
   void tlb_walk(Tlb& tlb, Addr addr);
 

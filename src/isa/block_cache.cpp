@@ -9,8 +9,11 @@
 
 namespace hulkv::isa {
 
-BlockCache::BlockCache(ReadWord read_word)
-    : read_word_(std::move(read_word)) {}
+BlockCache::BlockCache(ReadWord read_word, threaded::Lowering lowering)
+    : read_word_(std::move(read_word)), lowering_(lowering) {
+  HULKV_CHECK(lowering_.resolve != nullptr && lowering_.line_bytes != 0,
+              "a block cache needs its core's handler resolver and line size");
+}
 
 bool BlockCache::ends_block(Op op) {
   switch (op) {
@@ -28,7 +31,6 @@ bool BlockCache::ends_block(Op op) {
 
 void BlockCache::invalidate() {
   ++generation_;
-  last_ = nullptr;
   span_lo_ = ~0ull;
   span_hi_ = 0;
 }
@@ -40,10 +42,9 @@ void BlockCache::invalidate_range(Addr base, u64 bytes) {
   invalidate();
 }
 
-DecodedBlock& BlockCache::lookup_slow(Addr pc) {
+DecodedBlock& BlockCache::block_at(Addr pc) {
   DecodedBlock& block = blocks_[pc];
   if (block.generation != generation_) translate(block, pc);
-  last_ = &block;
   return block;
 }
 
@@ -71,8 +72,8 @@ bool touches_shared_state(Op op) {
 }  // namespace
 
 void BlockCache::translate(DecodedBlock& block, Addr pc) {
-  // Telemetry sits on the translate (slow) path only — the per-retire
-  // fast path stays a pointer compare.
+  // Telemetry sits on the translate (slow) path only; the span covers
+  // the decode and the lowering.
   const telemetry::Span span(telemetry::SpanPhase::kBlockTranslate);
   block.start = pc;
   block.instrs.clear();
@@ -95,6 +96,9 @@ void BlockCache::translate(DecodedBlock& block, Addr pc) {
     if (ends_block(instr.op)) break;
     p += 4;
   }
+  threaded::lower(block, lowering_, &block.threaded);
+  // Stamped last: a throw above leaves the block stale, so the next
+  // dispatch translates it again.
   block.generation = generation_;
   ++translations_;
   span_lo_ = std::min(span_lo_, pc);

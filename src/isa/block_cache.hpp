@@ -10,12 +10,17 @@
 //
 //  * `block_at(pc)` returns the decoded block starting at `pc`,
 //    translating it on first use. Translation reads instruction words
-//    through the core's functional fetch path and stops at the first
+//    through the core's functional fetch path, stops at the first
 //    control-flow instruction (branch, jal/jalr, ecall/ebreak, wfi,
-//    illegal) or after kMaxBlockInstrs.
-//  * A one-entry memo makes loop bodies free: a hardware loop or a
-//    backward branch re-entering the same block skips even the hash
-//    lookup.
+//    illegal) or after kMaxBlockInstrs, and lowers the run into the
+//    core's threaded code (threaded.hpp) with the lowering parameters
+//    the core gave the cache when it was built. So a block carries one
+//    generation tag for its decode and its lowering.
+//  * Blocks are chained: each caches the block the dispatch loop went
+//    to next, one link for falling through its end and one for leaving
+//    it any other way. `follow(link, pc)` takes the link when it points
+//    at the current translation of `pc`, and only otherwise probes the
+//    map (DESIGN.md §10).
 //  * Invalidation is a generation bump, not a clear()-and-rehash: stale
 //    blocks are detected by generation mismatch and re-translated in
 //    place on next dispatch. `invalidate_range()` additionally scopes
@@ -44,6 +49,18 @@ namespace hulkv::isa {
 struct DecodedBlock {
   Addr start = 0;
   u64 generation = 0;  // 0 = never translated (generations start at 1)
+  /// Threaded-code form (DESIGN.md §15), lowered by the translation
+  /// that filled `instrs`: the dispatch loops run this, and only the
+  /// trap path, the observed loops and the profiler read `instrs`.
+  threaded::ThreadedBlock threaded;
+  /// Successor links, written by the dispatch loops through
+  /// BlockCache::follow: the block entered after leaving this one by
+  /// falling through its end, and after leaving it any other way (a
+  /// taken branch, a jump, a hardware-loop back edge). A link is only a
+  /// hint: follow() takes it only when it is current, so a stale or
+  /// wrong link costs one map probe and is never executed.
+  DecodedBlock* fall_through = nullptr;
+  DecodedBlock* taken = nullptr;
   /// Bit i set when `instrs[i]` may touch state shared between cores
   /// (loads/stores — TCDM banks, AXI, DRAM — and the environment-call /
   /// trap ops). Pure ALU and control-flow ops leave the bit clear; a
@@ -52,11 +69,6 @@ struct DecodedBlock {
   /// PmcaCore::run_slice). kMaxBlockInstrs == 64 makes this one word.
   u64 shared_mask = 0;
   std::vector<Instr> instrs;
-  /// Threaded-code form (DESIGN.md §15), lowered lazily by the owning
-  /// core's dispatch loop on first execution of this block and kept in
-  /// sync via its own generation tag (stale after an invalidation bump,
-  /// re-lowered on next dispatch).
-  threaded::ThreadedBlock threaded;
 };
 
 class BlockCache {
@@ -73,21 +85,38 @@ class BlockCache {
   /// fetch of that address.
   using ReadWord = std::function<u32(Addr)>;
 
-  explicit BlockCache(ReadWord read_word);
+  /// `lowering` is the owning core's: its handler resolver (whose
+  /// `ctx` must outlive the cache), fetch-line size and kFlagShared
+  /// choice.
+  BlockCache(ReadWord read_word, threaded::Lowering lowering);
 
-  /// The decoded block starting at `pc`, translated on demand.
-  /// The returned reference is stable until the cache is destroyed
-  /// (values live in node-based map storage), but its contents are
-  /// only valid for the current generation. Mutable because the
-  /// dispatch loops lazily attach the lowered form
-  /// (DecodedBlock::threaded).
-  DecodedBlock& block_at(Addr pc) {
-    if (last_ != nullptr && last_->start == pc) return *last_;
-    return lookup_slow(pc);
+  /// The decoded and lowered block starting at `pc`, translated on
+  /// demand. The returned reference is stable until the cache is
+  /// destroyed (values live in node-based map storage), but its
+  /// contents are only valid for the current generation. Mutable
+  /// because the dispatch loops write its successor links.
+  DecodedBlock& block_at(Addr pc);
+
+  /// The block at `pc`, reached through `link`, a successor link of the
+  /// block the caller just left (or any slot the caller owns). When
+  /// `link` points at a block whose `start` is `pc` and whose
+  /// generation is current, that block is the map's node for `pc` and
+  /// needs no translation, so it is exactly what block_at(pc) would
+  /// return: follow returns it without a map probe. Otherwise it calls
+  /// block_at(pc) and points `link` at the result.
+  DecodedBlock& follow(DecodedBlock*& link, Addr pc) {
+    DecodedBlock* next = link;
+    if (next == nullptr || next->start != pc ||
+        next->generation != generation_) {
+      next = &block_at(pc);
+      link = next;
+    }
+    return *next;
   }
 
   /// Drop every cached block: O(1) generation bump. Stale blocks
-  /// re-translate in place on their next dispatch.
+  /// re-translate in place on their next dispatch, and no successor
+  /// link to one is followed.
   void invalidate();
 
   /// Invalidate only if [base, base+bytes) overlaps the address span
@@ -104,12 +133,11 @@ class BlockCache {
   static bool ends_block(Op op);
 
  private:
-  DecodedBlock& lookup_slow(Addr pc);
   void translate(DecodedBlock& block, Addr pc);
 
   ReadWord read_word_;
+  threaded::Lowering lowering_;
   std::unordered_map<Addr, DecodedBlock> blocks_;
-  DecodedBlock* last_ = nullptr;  // memo: only ever a current-generation block
   u64 generation_ = 1;
   u64 translations_ = 0;
   // Union of [start, end) over translated blocks, for ranged invalidation.

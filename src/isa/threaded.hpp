@@ -1,19 +1,19 @@
 // Threaded code: the one execution path of both ISSs (DESIGN.md §15).
 //
-// Each `DecodedBlock` is lowered once into *threaded code*: a flat array
-// of pre-resolved handler pointers with the operands already unpacked
-// into a packed immediate/register-index form and the instruction's
-// *static* cycle cost (issue + fixed functional-unit latency)
-// precomputed. The dispatch loops then do no opcode switch, no field
-// decode and no per-instruction cache probe — just an indirect call per
-// instruction.
+// Each `DecodedBlock` is lowered into *threaded code* when BlockCache
+// translates it: a flat array of pre-resolved handler pointers with the
+// operands already unpacked into a packed immediate/register-index form
+// and the instruction's *static* cycle cost (issue + fixed
+// functional-unit latency) precomputed. The dispatch loops then do no
+// opcode switch, no field decode and no per-instruction cache probe —
+// just an indirect call per instruction.
 //
-// The lowering is core-agnostic: each core supplies a `HandlerResolver`
-// mapping an `Op` to its handler, or to null for a trap op (ecall,
-// ebreak, wfi, and every op the core cannot execute), which the dispatch
-// loop retires through the core's trap() at its exact pc. The handlers
-// are the only semantics of each instruction; tests/golden pins the
-// cycles and bytes they produce.
+// The lowering is core-agnostic: each core gives its BlockCache a
+// `Lowering` whose `HandlerResolver` maps an `Op` to its handler, or to
+// null for a trap op (ecall, ebreak, wfi, and every op the core cannot
+// execute), which the dispatch loop retires through the core's trap()
+// at its exact pc. The handlers are the only semantics of each
+// instruction; tests/golden pins the cycles and bytes they produce.
 #pragma once
 
 #include <vector>
@@ -71,13 +71,11 @@ struct ThreadedInstr {
 // (scripts/lint.sh greps for this assert staying put).
 static_assert(sizeof(ThreadedInstr) == 32, "ThreadedInstr grew past 32B");
 
-/// Threaded form of one DecodedBlock, lowered lazily on first dispatch
-/// and tagged with the DecodedBlock generation it was lowered from: a
-/// block-cache invalidation bumps the generation, the stale lowering is
-/// detected by mismatch and redone in place (the invalidation round
-/// trip pinned by threaded_test).
+/// Threaded form of one DecodedBlock. BlockCache::translate lowers it
+/// together with the decode, so it always belongs to the block's one
+/// generation tag: an invalidation makes the whole block stale, and the
+/// next dispatch re-translates and re-lowers it in place.
 struct ThreadedBlock {
-  u64 generation = 0;  // 0 = never lowered (generations start at 1)
   /// Last instruction is a handled branch/jump: its handler sets the
   /// core's pc. Otherwise control falls through to `start + 4 * n`.
   bool control_tail = false;
@@ -95,12 +93,21 @@ struct HandlerInfo {
 /// fixed latencies live there).
 using HandlerResolver = HandlerInfo (*)(Op op, const void* ctx);
 
-/// Lower `block` into `out` for a core with `line_bytes`-sized fetch
-/// lines. `want_shared` controls kFlagShared emission (the host has no
-/// run-ahead horizon and skips the bit so its flag word stays zero on
-/// the fast path).
-void lower(const DecodedBlock& block, u32 line_bytes, bool want_shared,
-           HandlerResolver resolve, const void* ctx, ThreadedBlock* out);
+/// A core's lowering parameters, fixed when its BlockCache is built.
+struct Lowering {
+  HandlerResolver resolve = nullptr;
+  /// Passed to `resolve`; must outlive the BlockCache.
+  const void* ctx = nullptr;
+  /// The core's fetch-line size (a power of two).
+  u32 line_bytes = 0;
+  /// Whether to emit kFlagShared (the host has no run-ahead horizon
+  /// and skips the bit so its flag word stays zero on the fast path).
+  bool want_shared = false;
+};
+
+/// Lower the decoded `block` into `out` with a core's `how`.
+void lower(const DecodedBlock& block, const Lowering& how,
+           ThreadedBlock* out);
 
 }  // namespace threaded
 }  // namespace hulkv::isa

@@ -176,7 +176,7 @@ class CacheModel final : public MemTiming {
   /// Out of line: accesses that straddle lines, misses, the write-back
   /// dirty bit (no host L1 writes back) and the hit-batch trace event.
   Cycles access_lines(Cycles now, Addr addr, u32 bytes, bool is_write);
-  Cycles miss(Cycles now, Addr line_addr, bool is_write);
+  HULKV_HOT_CODE Cycles miss(Cycles now, Addr line_addr, bool is_write);
   static void mark_dirty(SetAssocTags::Way& way);
   void trace_hit(Cycles now);
 

@@ -224,9 +224,7 @@ BenchOptions bench_args_or_exit(int argc, char** argv, BenchCli cli) {
   BenchOptions options;
   cli::Parser parser = bench_flag_parser(program, &options);
   const std::string error = [&]() -> std::string {
-    if (!parser.parse(argc, argv,
-                      cli.passes_unknown ? cli::Parser::OnUnknown::kIgnore
-                                         : cli::Parser::OnUnknown::kError)) {
+    if (!parser.parse(argc, argv)) {
       return parser.error();
     }
     const bool tracing = !options.trace_path.empty();

@@ -141,9 +141,6 @@ struct BenchOptions {
 struct BenchCli {
   /// Writes the --trace file; on every other bench --trace is refused.
   bool writes_trace = false;
-  /// Unknown flags belong to a wrapped tool (simperf's
-  /// google-benchmark) instead of being usage errors.
-  bool passes_unknown = false;
 };
 
 /// A bench main()'s command line. A usage error — malformed value,

@@ -65,7 +65,6 @@ const char* phase_name(SpanPhase phase) {
     case SpanPhase::kSnapshotSave: return "snapshot_save";
     case SpanPhase::kSnapshotRestore: return "snapshot_restore";
     case SpanPhase::kSnapshotDigest: return "snapshot_digest";
-    case SpanPhase::kThreadedLower: return "threaded_lower";
     case SpanPhase::kBatchJob: return "batch_job";
     case SpanPhase::kServeRequest: return "serve_request";
     case SpanPhase::kServePoint: return "serve_point";

@@ -42,13 +42,12 @@ namespace hulkv::telemetry {
 enum class SpanPhase : u8 {
   kProgramAnalyze,   // static analysis of a guest image before load
   kProgramLoad,      // image copy + fact attachment
-  kBlockTranslate,   // one isa::BlockCache block translation
+  kBlockTranslate,   // one isa::BlockCache block translation and lowering
   kHostDispatch,     // one host-ISS dispatch chunk (Cva6Core::run)
   kClusterDispatch,  // one PMCA kernel execution (Cluster::run_kernel)
   kSnapshotSave,     // HulkVSoc::save
   kSnapshotRestore,  // HulkVSoc::restore
   kSnapshotDigest,   // HulkVSoc::state_digest
-  kThreadedLower,    // one block lowering to threaded code (§15)
   kBatchJob,         // one batch::run_jobs job
   kServeRequest,     // one serve daemon request, admission -> response
   kServePoint,       // one simulation point inside a serve request

@@ -1,5 +1,5 @@
 // Decoded-block cache, memory fast paths and the cluster core scheduler:
-//  * isa::BlockCache translation/memoization/invalidation semantics,
+//  * isa::BlockCache translation/successor-link/invalidation semantics,
 //  * self-modifying-code behaviour on both ISS cores (stale blocks are
 //    never executed after an explicit invalidation; guest stores alone
 //    do NOT invalidate — unchanged from the per-instruction caches),
@@ -42,6 +42,12 @@ constexpr Addr kKernelL2 = mem::map::kL2Base;
 // BlockCache unit tests (standalone, backed by an in-memory word array)
 // ---------------------------------------------------------------------
 
+/// Lowering for the standalone caches: every op lowers to a trap entry.
+/// These tests check decoding and caching, not execution.
+isa::threaded::HandlerInfo no_handlers(Op /*op*/, const void* /*ctx*/) {
+  return {};
+}
+
 /// A BlockCache over an assembled program at `base`; reads outside the
 /// program throw like an unmapped bus access would.
 struct TestProgram {
@@ -51,13 +57,15 @@ struct TestProgram {
   Addr base_;
 
   BlockCache make_cache() {
-    return BlockCache([this](Addr pc) {
-      const u64 index = (pc - base_) / 4;
-      if (pc < base_ || index >= words.size()) {
-        throw SimError("fetch outside program");
-      }
-      return words[index];
-    });
+    return BlockCache(
+        [this](Addr pc) {
+          const u64 index = (pc - base_) / 4;
+          if (pc < base_ || index >= words.size()) {
+            throw SimError("fetch outside program");
+          }
+          return words[index];
+        },
+        {.resolve = &no_handlers, .line_bytes = 64});
   }
 };
 
@@ -94,7 +102,7 @@ TEST(BlockCache, EndsBlockOps) {
   EXPECT_FALSE(BlockCache::ends_block(Op::kMul));
 }
 
-TEST(BlockCache, MemoAndMapHitsDoNotRetranslate) {
+TEST(BlockCache, LinkAndMapHitsDoNotRetranslate) {
   TestProgram prog(0x2000);
   Assembler a(0x2000, /*rv64=*/false);
   a.addi(t0, t0, 1);
@@ -104,13 +112,61 @@ TEST(BlockCache, MemoAndMapHitsDoNotRetranslate) {
   prog.words = a.assemble();
 
   BlockCache cache = prog.make_cache();
-  cache.block_at(0x2000);
-  cache.block_at(0x2000);  // memo hit
+  isa::DecodedBlock& first = cache.block_at(0x2000);
+  EXPECT_EQ(&cache.block_at(0x2000), &first);  // map hit
   EXPECT_EQ(cache.translations(), 1u);
-  cache.block_at(0x2008);  // different block
-  cache.block_at(0x2000);  // map hit after memo switched away
+
+  // An empty link probes, translates and is pointed at the block.
+  isa::DecodedBlock* link = nullptr;
+  isa::DecodedBlock& second = cache.follow(link, 0x2008);
+  EXPECT_EQ(link, &second);
+  EXPECT_EQ(cache.translations(), 2u);
+  // A current link is followed: the object block_at returns, and no
+  // translation.
+  EXPECT_EQ(&cache.follow(link, 0x2008), &second);
+  EXPECT_EQ(&cache.block_at(0x2008), &second);
+  EXPECT_EQ(cache.translations(), 2u);
+  // A link to another pc is not followed; it is re-pointed.
+  EXPECT_EQ(&cache.follow(link, 0x2000), &first);
+  EXPECT_EQ(link, &first);
   EXPECT_EQ(cache.translations(), 2u);
   EXPECT_EQ(cache.cached_blocks(), 2u);
+}
+
+TEST(BlockCache, StaleLinkIsNotFollowed) {
+  TestProgram prog(0x2000);
+  auto assemble = [](i64 imm) {
+    Assembler a(0x2000, /*rv64=*/false);
+    a.addi(t0, t0, imm);
+    a.ecall();
+    return a.assemble();
+  };
+  prog.words = assemble(1);
+  BlockCache cache = prog.make_cache();
+  isa::DecodedBlock* link = nullptr;
+  cache.follow(link, 0x2000);
+  EXPECT_EQ(cache.translations(), 1u);
+
+  // invalidate(): the link's block is stale, so follow re-translates
+  // it, decode and lowering both.
+  prog.words = assemble(42);
+  cache.invalidate();
+  const isa::DecodedBlock& after_bump = cache.follow(link, 0x2000);
+  EXPECT_EQ(cache.translations(), 2u);
+  EXPECT_EQ(after_bump.instrs[0].imm, 42);
+  EXPECT_EQ(after_bump.threaded.code[0].imm, 42);
+
+  // A disjoint invalidate_range keeps the link current.
+  cache.invalidate_range(0x9000, 4);
+  cache.follow(link, 0x2000);
+  EXPECT_EQ(cache.translations(), 2u);
+
+  // An overlapping one does not.
+  prog.words = assemble(7);
+  cache.invalidate_range(0x2000, 4);
+  const isa::DecodedBlock& after_range = cache.follow(link, 0x2000);
+  EXPECT_EQ(cache.translations(), 3u);
+  EXPECT_EQ(after_range.threaded.code[0].imm, 7);
 }
 
 TEST(BlockCache, InvalidateBumpsGenerationAndRetranslates) {
@@ -282,6 +338,52 @@ TEST(DecodeInvalidation, HostCacheStateNeverAffectsCycles) {
   EXPECT_EQ(warm.instret, cold_decode.instret);
 }
 
+/// Block A ends in a jump over an unreachable word to block B, which
+/// adds `step` to a0 and exits: running it links A's taken successor.
+Assembler chained_exit(i64 step) {
+  Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
+  a.li(a0, 0);
+  a.j("b");
+  a.emit({.op = Op::kEbreak});  // never runs: the jump is a taken edge
+  a.label("b");
+  a.addi(a0, a0, step);
+  a.li(a7, 93);
+  a.ecall();
+  return a;
+}
+
+TEST(DecodeInvalidation, HostLinkIsNotFollowedAfterInvalidation) {
+  core::HulkVSoc soc(fast_config());
+  auto rerun = [&] {
+    soc.host().set_reg(sp, core::layout::kHostStackTop - 64);
+    soc.host().set_pc(core::layout::kHostCodeBase);
+    return soc.host().run().exit_code;
+  };
+  const isa::BlockCache& cache = soc.host().decode_blocks();
+  soc.load_program(core::layout::kHostCodeBase, chained_exit(1).assemble());
+  EXPECT_EQ(rerun(), 1u);
+  const u64 translations = cache.translations();
+  auto rewrite = [&](i64 step) {
+    const std::vector<u32> words = chained_exit(step).assemble();
+    soc.write_mem(core::layout::kHostCodeBase, words.data(),
+                  words.size() * 4);
+  };
+
+  rewrite(5);
+  EXPECT_EQ(rerun(), 1u);  // no invalidation: the links stay current
+  EXPECT_EQ(cache.translations(), translations);
+
+  soc.host().invalidate_decode_cache();
+  EXPECT_EQ(rerun(), 5u);  // A's link to B is stale: B re-translates
+  EXPECT_EQ(cache.translations(), translations + 2);
+
+  // A write over B alone still drops both blocks.
+  rewrite(9);
+  soc.host().invalidate_decode_cache(chained_exit(0).address_of("b"), 4);
+  EXPECT_EQ(rerun(), 9u);
+  EXPECT_EQ(cache.translations(), translations + 4);
+}
+
 TEST(DecodeInvalidation, RangedInvalidationKeepsDisjointHostBlocks) {
   core::HulkVSoc soc(fast_config());
   Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
@@ -356,6 +458,37 @@ TEST(DecodeInvalidation, ClusterGuestStoresNeedExplicitInvalidate) {
   soc.cluster().on_code_loaded(kKernelL2, v2.size() * 4);
   soc.cluster().run_kernel(r.finish, kKernelL2, 0, 1);
   EXPECT_EQ(tcdm_word(soc, 0), 2u);
+}
+
+TEST(DecodeInvalidation, ClusterLinkIsNotFollowedAfterRangedInvalidation) {
+  // Block A jumps over an unreachable word to block B, which stores
+  // `value`: running it links A's taken successor to B.
+  auto kernel = [](u32 value) {
+    Assembler a(kKernelL2, /*rv64=*/false);
+    a.li(t0, static_cast<i64>(kTcdm));
+    a.j("b");
+    a.emit({.op = Op::kEbreak});
+    a.label("b");
+    a.li(t1, value);
+    a.sw(t1, 0, t0);
+    a.li(a7, cluster::envcall::kExit);
+    a.ecall();
+    return a;
+  };
+  core::HulkVSoc soc(fast_config());
+  const isa::BlockCache& cache = soc.cluster().core(0).decode_blocks();
+  soc.load_program(kKernelL2, kernel(1).assemble());
+  auto r = soc.cluster().run_kernel(0, kKernelL2, 0, 1);
+  EXPECT_EQ(tcdm_word(soc, 0), 1u);
+  const u64 translations = cache.translations();
+
+  // Rewrite B and announce a load over B alone.
+  const std::vector<u32> v2 = kernel(2).assemble();
+  soc.write_mem(kKernelL2, v2.data(), v2.size() * 4);
+  soc.cluster().on_code_loaded(kernel(0).address_of("b"), 4);
+  soc.cluster().run_kernel(r.finish, kKernelL2, 0, 1);
+  EXPECT_EQ(tcdm_word(soc, 0), 2u);
+  EXPECT_EQ(cache.translations(), translations + 2);
 }
 
 TEST(DecodeInvalidation, ClusterRangedInvalidationSkipsDisjointRanges) {

@@ -3,6 +3,9 @@
 //    on at least one ISS or is a deliberate trap op,
 //  * invalidation round-trip — translate, guest SMC, ranged invalidate,
 //    re-lower — never executes a stale lowering,
+//  * chained blocks — a return whose successor changes on every call,
+//    and a snapshot restored into the SoC whose blocks are chained —
+//    retire exactly the unchained values,
 //  * a mid-block ecall traps at the exact pc/instret/cycle and
 //    execution resumes after it,
 //  * bounded runs and a cluster kernel retire exactly the values the
@@ -19,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "batch/batch.hpp"
 #include "cluster/pmca_core.hpp"
 #include "core/soc.hpp"
 #include "host/cva6.hpp"
@@ -115,11 +119,12 @@ TEST(ThreadedDeopt, InvalidationRoundTripRelowersBlock) {
   soc.load_program(core::layout::kHostCodeBase, v1);
   EXPECT_EQ(rerun().exit_code, 1u);
 
-  // The executed block is lowered and its lowering is current.
+  // The executed block was lowered when it was translated.
+  const isa::BlockCache& cache = soc.host().decode_blocks();
   const isa::DecodedBlock& block =
       soc.host().decode_blocks().block_at(core::layout::kHostCodeBase);
-  EXPECT_EQ(block.threaded.generation, block.generation);
   EXPECT_EQ(block.threaded.code.size(), block.instrs.size());
+  const u64 translations = cache.translations();
 
   // Guest SMC without invalidation: the stale lowering still executes
   // (same contract as the decoded-block cache itself).
@@ -131,9 +136,10 @@ TEST(ThreadedDeopt, InvalidationRoundTripRelowersBlock) {
   soc.host().invalidate_decode_cache(core::layout::kHostCodeBase,
                                      v2.size() * 4);
   EXPECT_EQ(rerun().exit_code, 2u);
+  EXPECT_EQ(cache.translations(), translations + 1);
   const isa::DecodedBlock& fresh =
       soc.host().decode_blocks().block_at(core::layout::kHostCodeBase);
-  EXPECT_EQ(fresh.threaded.generation, fresh.generation);
+  EXPECT_EQ(fresh.threaded.code[0].imm, 2);
 }
 
 TEST(ThreadedDeopt, MidBlockEcallResumesAtExactPcInstretCycle) {
@@ -241,6 +247,82 @@ TEST(ThreadedTier, ClusterKernelMatchesInterpExactly) {
       {1018, 1009}, {1018, 1009}, {1018, 1009}, {1018, 1009}};
   EXPECT_EQ(run.finish, 1026u);
   EXPECT_EQ(per_core, expected);
+}
+
+// ---------------------------------------------------------------------
+// Chained blocks (DESIGN.md §10): following a successor link returns
+// the block a map probe would, so chaining moves no simulated value.
+// ---------------------------------------------------------------------
+
+/// A leaf routine called alternately from two sites: the leaf's `jalr`
+/// block returns to a different site on every call, so its taken link
+/// is re-pointed each time. Exits with a0 = 10 * iterations.
+std::vector<u32> two_site_leaf(i64 iterations) {
+  Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
+  a.li(s0, iterations);
+  a.li(a0, 0);
+  a.label("loop");
+  a.call("leaf");
+  a.addi(a0, a0, 3);
+  a.call("leaf");
+  a.addi(a0, a0, 5);
+  a.addi(s0, s0, -1);
+  a.bnez(s0, "loop");
+  a.li(a7, 93);
+  a.ecall();
+  a.label("leaf");
+  a.addi(a0, a0, 1);
+  a.ret();
+  return a.assemble();
+}
+
+void start_two_site_leaf(core::HulkVSoc& soc) {
+  soc.load_program(core::layout::kHostCodeBase, two_site_leaf(40));
+  soc.host().set_reg(sp, core::layout::kHostStackTop - 64);
+  soc.host().set_pc(core::layout::kHostCodeBase);
+}
+
+// Recorded before blocks were chained.
+constexpr u64 kLeafInstret = 404;
+constexpr Cycles kLeafCycles = 761;
+constexpr u64 kLeafDigest = 6130383038629734657ull;
+
+TEST(ThreadedChain, ReturnToAlternatingSitesRetiresUnchainedValues) {
+  core::HulkVSoc soc(fast_config());
+  start_two_site_leaf(soc);
+  const auto run = soc.host().run();
+  EXPECT_TRUE(run.exited);
+  EXPECT_EQ(run.exit_code, 400u);
+  EXPECT_EQ(run.instret, kLeafInstret);
+  EXPECT_EQ(run.cycles, kLeafCycles);
+  EXPECT_EQ(soc.state_digest(), kLeafDigest);
+
+  // The bounded loop follows the same links, across chunk boundaries.
+  core::HulkVSoc chunked(fast_config());
+  start_two_site_leaf(chunked);
+  while (!chunked.host().run(/*max_instructions=*/7).exited) {
+  }
+  EXPECT_EQ(chunked.host().instret(), kLeafInstret);
+  EXPECT_EQ(chunked.host().now(), kLeafCycles);
+  EXPECT_EQ(chunked.state_digest(), kLeafDigest);
+}
+
+TEST(ThreadedChain, SnapshotRestoredIntoItsOwnChainedSocMatchesStraightRun) {
+  // The SoC runs on past its own snapshot, so its blocks hold links of
+  // the later run when the snapshot comes back. Restoring bumps the
+  // block cache's generation; no link from before is followed.
+  core::HulkVSoc soc(fast_config());
+  start_two_site_leaf(soc);
+  ASSERT_FALSE(soc.host().run(/*max_instructions=*/100).exited);
+  const batch::SocSnapshot snap = batch::SocSnapshot::capture(soc);
+  ASSERT_FALSE(soc.host().run(/*max_instructions=*/150).exited);
+  snap.restore_into(soc);
+  const auto rest = soc.host().run();
+  EXPECT_TRUE(rest.exited);
+  EXPECT_EQ(rest.exit_code, 400u);
+  EXPECT_EQ(soc.host().instret(), kLeafInstret);
+  EXPECT_EQ(soc.host().now(), kLeafCycles);
+  EXPECT_EQ(soc.state_digest(), kLeafDigest);
 }
 
 // ---------------------------------------------------------------------
