@@ -58,14 +58,16 @@ fi
 
 step "analyze-corpus (hulkv-analyze over every built-in program)"
 analyze_out="$(mktemp -u /tmp/ci_analyze.XXXXXX.json)"
-# Exit 0 == no program has error-severity findings; the golden diff
-# additionally pins every fact-table count (proven/eligible/tcdm-local
-# blocks per program), so a silent analysis regression fails here.
+# The tool exits 1 when any program has an error-severity finding,
+# which fails the step under `set -e`; the golden diff pins every
+# program's diagnostics and counts, so a silent analysis regression
+# fails here.
 "$repo_root/build/tools/hulkv-analyze" --corpus --json > "$analyze_out"
 if ! diff -u "$repo_root/tests/golden/analyze_corpus.json" "$analyze_out"; then
-  echo "ci: analyze-corpus FAILED — whole-corpus facts drifted from" \
+  echo "ci: analyze-corpus FAILED — whole-corpus diagnostics drifted from" \
        "tests/golden/analyze_corpus.json (regenerate via" \
-       "HULKV_REGEN_GOLDEN=1 build/tests/facts_test if intended)" >&2
+       "HULKV_REGEN_GOLDEN=1 build/tests/analysis_test" \
+       "--gtest_filter=Corpus.JsonMatchesGolden if intended)" >&2
   exit 1
 fi
 rm -f "$analyze_out"

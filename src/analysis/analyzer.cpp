@@ -102,20 +102,6 @@ bool post_inc_amount(const Instr& in, i64* amount) {
   return false;
 }
 
-bool is_csr_op(Op op) {
-  switch (op) {
-    case Op::kCsrrw:
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-    case Op::kCsrrwi:
-    case Op::kCsrrsi:
-    case Op::kCsrrci:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_hwloop_count_use(Op op) {
   return op == Op::kLpSetup || op == Op::kLpCount;
 }
@@ -130,12 +116,10 @@ Interval trunc32(const Interval& a) {
 
 class Analyzer {
  public:
-  Analyzer(const Cfg& cfg, const Options& options, Sink& sink,
-           FactsTable& facts)
+  Analyzer(const Cfg& cfg, const Options& options, Sink& sink)
       : cfg_(cfg),
         options_(options),
         sink_(sink),
-        facts_(facts),
         bits_(options.profile == IsaProfile::kClusterRv32 ? 32 : 64) {
     regions_ = {{{mem::map::kBootRomBase, mem::map::kBootRomSize},
                  {mem::map::kTcdmBase, options.tcdm_bytes},
@@ -174,7 +158,7 @@ class Analyzer {
       RegState s = in_[b];
       const Block& block = cfg_.blocks[b];
       for (size_t i = block.first; i <= block.last; ++i) {
-        transfer(i, s, Mode::kFix, nullptr, nullptr);
+        transfer(i, s, nullptr);
       }
       for (size_t pos = 0; pos < block.succs.size(); ++pos) {
         const bool through_call = block.is_call && pos == block.fall_succ;
@@ -191,22 +175,15 @@ class Analyzer {
       }
     }
 
-    // Second pass over the stabilised states: emit diagnostics and fill
-    // the facts table. Blocks the dataflow never reached (only possible
-    // via an unresolved jalr) get a facts-only pass under an all-top
-    // state — conservative facts, no diagnostics.
+    // Second pass over the stabilised states: emit diagnostics. Blocks
+    // the dataflow never reached (only possible via an unresolved jalr)
+    // have no state to check against.
     for (size_t b = 0; b < cfg_.blocks.size(); ++b) {
-      if (in_[b].valid) {
-        emit_block(b, in_[b], /*diagnostics=*/true);
-      } else {
-        emit_block(b, RegState::all_defined(bits_), /*diagnostics=*/false);
-      }
+      if (in_[b].valid) emit_block(cfg_.blocks[b], in_[b]);
     }
   }
 
  private:
-  enum class Mode { kFix, kEmit, kFactsOnly };
-
   /// Merge `src` into `dst` (join per register, intersection of defined
   /// sets; `widen` jumps moving interval bounds to the extremes).
   /// Returns true when `dst` changed.
@@ -233,44 +210,13 @@ class Analyzer {
     return changed;
   }
 
-  /// Diagnostics + facts for one block from its (stabilised) in-state.
-  void emit_block(size_t b, const RegState& in_state, bool diagnostics) {
-    const Block& block = cfg_.blocks[b];
-    BlockFacts& bf = facts_.blocks[b];
-    bf.first = static_cast<u32>(block.first);
-    bf.last = static_cast<u32>(block.last);
-    bf.start = cfg_.program.addr_of(block.first);
-    bf.end = cfg_.program.addr_of(block.last) + 4;
-    // Lower bound independent of configured latencies: every
-    // instruction retires in at least one cycle on both cores.
-    bf.min_cycles = static_cast<u32>(block.last - block.first + 1);
-    bf.reachable = diagnostics;
-
-    RegState s = in_state;
+  /// Diagnostics for one reached block from its stabilised in-state.
+  void emit_block(const Block& block, RegState s) {
     std::array<size_t, 64> pending_def;
     pending_def.fill(SIZE_MAX);
-    const Mode mode = diagnostics ? Mode::kEmit : Mode::kFactsOnly;
     for (size_t i = block.first; i <= block.last; ++i) {
-      transfer(i, s, mode, &pending_def, &bf);
+      transfer(i, s, &pending_def);
     }
-
-    bool all_tcdm = true;
-    bool ordered = false;
-    bool csr = false;
-    for (size_t i = block.first; i <= block.last; ++i) {
-      const u8 f = facts_.instr_facts[i];
-      if ((f & kFactMemAccess) != 0) {
-        bf.may_access_memory = true;
-        if ((f & kFactTcdmLocal) == 0) all_tcdm = false;
-      }
-      if ((f & kFactEcall) != 0) bf.may_ecall = true;
-      if ((f & kFactOrdered) != 0) ordered = true;
-      csr |= is_csr_op(cfg_.program.instrs[i].op);
-    }
-    bf.tcdm_local = bf.may_access_memory && all_tcdm;
-    // CSR reads (cycle/instret) depend on time, not just registers.
-    bf.pure = !bf.may_access_memory && !bf.may_ecall && !ordered && !csr;
-    bf.run_ahead_eligible = !bf.may_access_memory && !ordered;
   }
 
   /// a7 at the ecall `i`: the CFG's syntactic back-scan first, then the
@@ -283,30 +229,16 @@ class Analyzer {
     return -1;
   }
 
-  /// True when the service's handler touches no cross-core shared
-  /// timing state, so a run-ahead scheduler may execute the ecall past
-  /// its time horizon: the cluster's kExit (sets the core finished) and
-  /// kCoreCount (writes a0 from a constant); the host's exit (93).
-  bool is_core_local_service(i64 a7) const {
-    if (a7 < 0) return false;
-    if (options_.profile == IsaProfile::kClusterRv32) {
-      return a7 == static_cast<i64>(cluster::envcall::kExit) ||
-             a7 == static_cast<i64>(cluster::envcall::kCoreCount);
-    }
-    return a7 == 93;
-  }
-
-  /// Apply instruction `i` to `s`. In kEmit mode, first check its uses
-  /// and statically-bounded memory accesses against the incoming state;
-  /// in kEmit/kFactsOnly modes also record the instruction's facts.
-  void transfer(size_t i, RegState& s, Mode mode,
-                std::array<size_t, 64>* pending_def, BlockFacts* bf) {
+  /// Apply instruction `i` to `s`. With `pending_def` (the emit pass),
+  /// first check its uses and statically-bounded memory access against
+  /// the incoming state, and report dead writes.
+  void transfer(size_t i, RegState& s, std::array<size_t, 64>* pending_def) {
     const Instr& in = cfg_.program.instrs[i];
     const Addr pc = cfg_.program.addr_of(i);
     const i64 a7 =
         in.op == Op::kEcall ? ecall_service(i, s) : cfg_.ecall_a7[i];
     const RegOps ops = reg_ops(in, options_.profile, a7);
-    const bool emit = mode == Mode::kEmit;
+    const bool emit = pending_def != nullptr;
 
     if (emit) {
       for (u8 k = 0; k < ops.nuses; ++k) {
@@ -348,10 +280,7 @@ class Analyzer {
         // A service routine or callee may read anything later.
         pending_def->fill(SIZE_MAX);
       }
-    }
-
-    if (mode != Mode::kFix) {
-      facts_.instr_facts[i] |= instr_facts(in, i, pc, s, a7, emit, bf);
+      check_access(in, pc, s);
     }
 
     // Value transfer. Post-increment amounts are computed from the
@@ -462,29 +391,12 @@ class Analyzer {
     }
   }
 
-  /// Fact flags of one instruction under the incoming state `s`. In
-  /// emit mode, also checks statically-bounded memory accesses.
-  u8 instr_facts(const Instr& in, size_t i, Addr pc, const RegState& s,
-                 i64 a7, bool emit, BlockFacts* bf) {
-    (void)i;
-    u8 flags = 0;
-    switch (in.op) {
-      case Op::kEcall:
-        flags |= kFactEcall;
-        flags |= is_core_local_service(a7) ? kFactCoreLocalEcall
-                                           : kFactOrdered;
-        return flags;
-      case Op::kEbreak:
-      case Op::kWfi:
-      case Op::kIllegal:
-      case Op::kFence:  // cross-core memory ordering: never run ahead
-        return kFactOrdered;
-      default:
-        break;
-    }
+  /// Memory checks of instruction `in` under the incoming state `s`:
+  /// alignment of a constant address, and range-wide membership in the
+  /// memory map and admission by the IOPMP grant windows.
+  void check_access(const Instr& in, Addr pc, const RegState& s) {
     const unsigned size = mem_access_size(in.op);
-    if (size == 0) return flags;
-    flags |= kFactMemAccess;
+    if (size == 0) return;
 
     // Effective address as an interval; post-increment and fused ops
     // address through rs1 directly.
@@ -493,19 +405,9 @@ class Analyzer {
         through_rs1 ? s.val[in.rs1]
                     : Interval::add_const(s.val[in.rs1],
                                           static_cast<i64>(in.imm), bits_);
-    if (ea.is_bottom()) return flags;
-    if (ea.is_top(bits_)) {
-      if (bf != nullptr) bf->footprint.set_unbounded();
-      return flags;
-    }
+    if (ea.is_bottom() || ea.is_top(bits_)) return;
     const Addr lo = ea.lo;
     const Addr end = ea.hi + size;  // touched bytes lie in [lo, end)
-    if (bf != nullptr) bf->footprint.add(lo, end);
-
-    const Addr tcdm_end = mem::map::kTcdmBase + options_.tcdm_bytes;
-    const bool in_tcdm = lo >= mem::map::kTcdmBase && end <= tcdm_end;
-    if (in_tcdm) flags |= kFactTcdmLocal;
-    if (!emit) return flags;
 
     const std::string what = std::string(isa::mnemonic(in.op)) + " of " +
                              std::to_string(size) + " byte(s) at 0x" +
@@ -515,7 +417,7 @@ class Analyzer {
                                   : "..0x" + hex(ea.hi));
     if (ea.is_constant() && lo % size != 0) {
       sink_.add(Diag::kMisalignedAccess, pc, what + " is misaligned");
-      return flags;
+      return;
     }
     // Range-level proofs: a diagnostic is emitted only when *every*
     // address in the interval misbehaves.
@@ -526,7 +428,7 @@ class Analyzer {
     if (!any_mapped) {
       sink_.add(Diag::kUnmappedAddress, pc,
                 what + " hits no SoC memory region");
-      return flags;
+      return;
     }
     if (options_.profile == IsaProfile::kClusterRv32 && options_.iopmp &&
         options_.iopmp->enforcing() && !intersects_tcdm(lo, end) &&
@@ -534,7 +436,6 @@ class Analyzer {
       sink_.add(Diag::kIopmpDenied, pc,
                 what + " will be denied by the IOPMP grant windows");
     }
-    return flags;
   }
 
   bool intersects_tcdm(Addr lo, Addr end) const {
@@ -555,7 +456,6 @@ class Analyzer {
   const Cfg& cfg_;
   const Options& options_;
   Sink& sink_;
-  FactsTable& facts_;
   const u32 bits_;
   std::array<MemRegion, 6> regions_;
   std::vector<RegState> in_;
@@ -571,34 +471,20 @@ u64 default_entry_defined(IsaProfile profile) {
   return reg_mask({a0, a1, a2, a3, a4, a5, sp});  // run_host_program
 }
 
-Analysis analyze_program(std::span<const u32> words,
-                         const Options& options) {
-  Analysis result;
-  Sink sink(&result.report, &options.policy);
+Report analyze(std::span<const u32> words, const Options& options) {
+  Report report;
+  Sink sink(&report, &options.policy);
   const Cfg cfg = build_cfg(words, options.base, options.profile, sink);
-  result.report.instructions = static_cast<u32>(cfg.program.instrs.size());
-  result.report.blocks = static_cast<u32>(cfg.blocks.size());
-  result.report.hw_loops = static_cast<u32>(cfg.loops.size());
+  report.instructions = static_cast<u32>(cfg.program.instrs.size());
+  report.blocks = static_cast<u32>(cfg.blocks.size());
+  report.hw_loops = static_cast<u32>(cfg.loops.size());
+  Analyzer(cfg, options, sink).run();
 
-  FactsTable& facts = result.facts;
-  facts.instr_facts.assign(cfg.program.instrs.size(), 0);
-  facts.blocks.assign(cfg.blocks.size(), BlockFacts{});
-  if (!cfg.blocks.empty()) {
-    Analyzer analyzer(cfg, options, sink, facts);
-    analyzer.run();
-    facts.functions = build_callgraph(cfg, facts);
-  }
-
-  std::stable_sort(result.report.diagnostics.begin(),
-                   result.report.diagnostics.end(),
+  std::stable_sort(report.diagnostics.begin(), report.diagnostics.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
                      return a.pc < b.pc;
                    });
-  return result;
-}
-
-Report analyze(std::span<const u32> words, const Options& options) {
-  return analyze_program(words, options).report;
+  return report;
 }
 
 }  // namespace hulkv::analysis

@@ -1,14 +1,12 @@
 // Entry point of the guest-program static analyzer.
 //
-// `analyze_program` decodes an assembled image, builds its CFG
-// (cfg.hpp) and runs a forward abstract-interpretation pass over it on
-// the interval domain (domain.hpp): register definedness (use before
-// def, dead writes), value-range propagation for materialised and
-// derived addresses (with widening at loop back edges), and static
-// memory checks of the resulting address ranges against the SoC memory
-// map and the IOPMP grant windows. Alongside the diagnostic report it
-// exports a FactsTable (facts.hpp) of proven per-instruction, per-block
-// and per-function properties, which hulkv-analyze prints. The load paths
+// `analyze` decodes an assembled image, builds its CFG (cfg.hpp) and
+// runs a forward abstract-interpretation pass over it on the interval
+// domain (domain.hpp): register definedness (use before def, dead
+// writes), value-range propagation for materialised and derived
+// addresses (with widening at loop back edges), and static memory
+// checks of the resulting address ranges against the SoC memory map and
+// the IOPMP grant windows. The load paths
 // (OffloadRuntime::register_kernel, kernels::run_host_program) call it
 // before any instruction executes and reject images whose report
 // contains errors under the configured policy.
@@ -21,7 +19,6 @@
 #include "analysis/cfg.hpp"
 #include "analysis/diag.hpp"
 #include "analysis/domain.hpp"
-#include "analysis/facts.hpp"
 #include "core/iopmp.hpp"
 #include "mem/interconnect.hpp"
 
@@ -72,18 +69,7 @@ constexpr u64 reg_mask(std::initializer_list<u8> slots) {
   return mask;
 }
 
-/// Diagnostics plus the proven facts of one analyzed image.
-struct Analysis {
-  Report report;
-  /// Empty tables for an empty image.
-  FactsTable facts;
-};
-
-/// Run every pass over the image: the diagnostic report plus the
-/// BlockFacts/function-summary table.
-Analysis analyze_program(std::span<const u32> words, const Options& options);
-
-/// Diagnostics only (the facts table is discarded).
+/// Run every pass over the image and return its diagnostic report.
 Report analyze(std::span<const u32> words, const Options& options);
 
 }  // namespace hulkv::analysis

@@ -126,7 +126,7 @@ bool Parser::apply_value(const Option& opt, const std::string& value) {
   return false;
 }
 
-bool Parser::parse(int argc, char** argv, OnUnknown policy) {
+bool Parser::parse(int argc, char** argv) {
   error_.clear();
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -149,11 +149,8 @@ bool Parser::parse(int argc, char** argv, OnUnknown policy) {
       }
     }
     if (matched == nullptr) {
-      if (policy == OnUnknown::kError) {
-        error_ = program_ + ": unknown flag \"" + std::string(arg) + "\"";
-        return false;
-      }
-      continue;  // wrapped tool's flag (e.g. google-benchmark)
+      error_ = program_ + ": unknown flag \"" + std::string(arg) + "\"";
+      return false;
     }
     switch (matched->kind) {
       case Kind::kBool:

@@ -37,17 +37,11 @@ class Parser {
   Parser& add_optional_value(const std::string& flag, bool* present,
                              std::string* value, std::string help);
 
-  enum class OnUnknown : u8 {
-    kIgnore,  // skip unknown flags (parsing part of a command line)
-    kError,   // tools: unknown flags are a usage error
-  };
-
   /// Parse argv[1..]. Returns true on success; on failure error() holds
   /// a one-line description (bad number, missing value — a value flag
-  /// at the end or followed by another `--` flag — or an unknown flag
-  /// under kError). Throws nothing — callers decide whether a parse
-  /// failure is fatal.
-  bool parse(int argc, char** argv, OnUnknown policy = OnUnknown::kError);
+  /// at the end or followed by another `--` flag — or an unknown flag).
+  /// Throws nothing — callers decide whether a parse failure is fatal.
+  bool parse(int argc, char** argv);
 
   const std::string& error() const { return error_; }
 

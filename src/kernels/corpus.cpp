@@ -61,7 +61,7 @@ std::vector<CorpusEntry> analysis_corpus() {
   return corpus;
 }
 
-analysis::Analysis analyze_corpus_entry(const CorpusEntry& entry) {
+analysis::Report analyze_corpus_entry(const CorpusEntry& entry) {
   analysis::Options options;
   options.profile = entry.profile;
   if (entry.profile == analysis::IsaProfile::kClusterRv32) {
@@ -82,14 +82,14 @@ analysis::Analysis analyze_corpus_entry(const CorpusEntry& entry) {
         isa::reg::sp,
         analysis::Interval::constant(core::layout::kHostStackTop - 64, 64));
   }
-  return analysis::analyze_program(entry.words, options);
+  return analysis::analyze(entry.words, options);
 }
 
 std::vector<CorpusResult> run_corpus_analysis() {
   std::vector<CorpusResult> results;
   for (CorpusEntry& entry : analysis_corpus()) {
     CorpusResult r;
-    r.analysis = analyze_corpus_entry(entry);
+    r.report = analyze_corpus_entry(entry);
     r.entry = std::move(entry);
     results.push_back(std::move(r));
   }
@@ -100,25 +100,18 @@ std::string render_corpus_text(const std::vector<CorpusResult>& results) {
   std::ostringstream os;
   os << std::left << std::setw(16) << "program" << std::right
      << std::setw(7) << "instrs" << std::setw(7) << "blocks"
-     << std::setw(6) << "pure" << std::setw(8) << "memfree"
-     << std::setw(6) << "tcdm" << std::setw(9) << "eligible"
-     << std::setw(6) << "funcs" << std::setw(5) << "err"
-     << std::setw(6) << "warn" << "\n";
+     << std::setw(5) << "err" << std::setw(6) << "warn" << "\n";
   size_t diags = 0;
   for (const CorpusResult& r : results) {
-    const analysis::FactsTable& f = r.analysis.facts;
-    const analysis::Report& rep = r.analysis.report;
+    const analysis::Report& rep = r.report;
     os << std::left << std::setw(16) << r.entry.name << std::right
        << std::setw(7) << rep.instructions << std::setw(7) << rep.blocks
-       << std::setw(6) << f.pure_blocks() << std::setw(8)
-       << f.memory_free_blocks() << std::setw(6) << f.tcdm_local_blocks()
-       << std::setw(9) << f.eligible_blocks() << std::setw(6)
-       << f.functions.size() << std::setw(5) << rep.errors()
-       << std::setw(6) << rep.warnings() << "\n";
+       << std::setw(5) << rep.errors() << std::setw(6) << rep.warnings()
+       << "\n";
     diags += rep.diagnostics.size();
   }
   for (const CorpusResult& r : results) {
-    for (const analysis::Diagnostic& d : r.analysis.report.diagnostics) {
+    for (const analysis::Diagnostic& d : r.report.diagnostics) {
       os << r.entry.name << ": " << d.to_string() << "\n";
     }
   }
@@ -131,8 +124,7 @@ std::string render_corpus_json(const std::vector<CorpusResult>& results) {
   os << "{\n  \"corpus\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CorpusResult& r = results[i];
-    const analysis::FactsTable& f = r.analysis.facts;
-    const analysis::Report& rep = r.analysis.report;
+    const analysis::Report& rep = r.report;
     os << "    {\n";
     os << "      \"name\": " << json_quote(r.entry.name) << ",\n";
     os << "      \"profile\": \""
@@ -145,16 +137,6 @@ std::string render_corpus_json(const std::vector<CorpusResult>& results) {
     os << "      \"hw_loops\": " << rep.hw_loops << ",\n";
     os << "      \"errors\": " << rep.errors() << ",\n";
     os << "      \"warnings\": " << rep.warnings() << ",\n";
-    os << "      \"reachable_blocks\": " << f.reachable_blocks() << ",\n";
-    os << "      \"pure_blocks\": " << f.pure_blocks() << ",\n";
-    os << "      \"memory_free_blocks\": " << f.memory_free_blocks()
-       << ",\n";
-    os << "      \"tcdm_local_blocks\": " << f.tcdm_local_blocks()
-       << ",\n";
-    os << "      \"eligible_blocks\": " << f.eligible_blocks() << ",\n";
-    os << "      \"core_local_ecalls\": " << f.core_local_ecalls()
-       << ",\n";
-    os << "      \"functions\": " << f.functions.size() << ",\n";
     os << "      \"diagnostics\": [";
     for (size_t d = 0; d < rep.diagnostics.size(); ++d) {
       os << (d == 0 ? "\n" : ",\n") << "        "

@@ -1,16 +1,30 @@
-// The analysis corpus: every built-in kernel/host program at a fixed
-// small shape, paired with the load-path analysis conventions. One
-// list serves three consumers that must agree on what "the corpus" is:
+// The analysis corpus: every built-in kernel and host program at a
+// fixed small shape, each with the analysis options it is checked
+// under. Three consumers share the list:
 //
-//  * tools/hulkv_analyze.cpp — the standalone `hulkv-analyze` CLI
-//    (whole-corpus mode and per-program reports),
-//  * tests/facts_test.cc — the golden whole-corpus JSON regression,
-//  * scripts/ci.sh — the analyze-corpus gate (corpus error-free,
-//    proven-block counts non-regressing).
+//  * tools/hulkv_analyze.cpp — the `hulkv-analyze` CLI (whole-corpus
+//    mode and per-program reports),
+//  * tests/analysis_test.cc — pins the whole-corpus JSON against
+//    tests/golden/analyze_corpus.json,
+//  * scripts/ci.sh — the analyze-corpus step, which diffs the tool's
+//    JSON against that golden and fails on the tool's exit code.
 //
-// Shapes are deliberately tiny: the analyzer's verdicts (diagnostics,
-// per-block facts) do not depend on trip counts, only on code shape,
-// and small images keep the golden file and the CI step fast.
+// What the corpus checks is each program's diagnostics under fixed
+// conventions. They are close to the load paths' but not the same:
+//
+//  * cluster kernels are analyzed PIC at base 0 with the offload
+//    runtime's entry values (a0 = argument block, sp in the TCDM stack
+//    window of the default 8-core cluster), but without IOPMP grant
+//    windows, so no iopmp-denied finding can show here, while
+//    OffloadRuntime::register_kernel checks against the SoC's IOPMP;
+//  * host programs are analyzed non-PIC at the host load base with sp
+//    seeded and the default entry registers a0-a5 defined, while
+//    kernels::prepare_host_program defines only the arguments it is
+//    passed.
+//
+// The options stay as they are: changing them would move the golden
+// diagnostics. Shapes are deliberately tiny, which keeps the golden
+// file and the CI step fast.
 #pragma once
 
 #include <string>
@@ -27,19 +41,16 @@ struct CorpusEntry {
 };
 
 /// Every built-in program at its corpus shape, cluster kernels first,
-/// in a fixed order (the golden file and CI counts depend on it).
+/// in a fixed order (the golden file depends on it).
 std::vector<CorpusEntry> analysis_corpus();
 
-/// Analyze one entry exactly as its load path would: cluster kernels
-/// PIC at base 0 with the offload runtime's entry values (a0 = argument
-/// block, sp in the 8-core TCDM stack window); host programs non-PIC at
-/// the host load base with sp seeded.
-analysis::Analysis analyze_corpus_entry(const CorpusEntry& entry);
+/// Analyze one entry under the corpus conventions above.
+analysis::Report analyze_corpus_entry(const CorpusEntry& entry);
 
-/// Per-entry analysis summary used by the renderers below.
+/// One analyzed entry, as the renderers below take it.
 struct CorpusResult {
   CorpusEntry entry;
-  analysis::Analysis analysis;
+  analysis::Report report;
 };
 
 /// Analyze the whole corpus in order.

@@ -56,11 +56,11 @@ HostRun run_host_program(core::HulkVSoc& soc,
                          std::span<const u64> args);
 
 /// The load half of run_host_program without the run: static analysis,
-/// program load + fact attachment, argument/stack/pc setup. Callers
-/// that need budgeted dispatch (e.g. the serve daemon checking request
-/// deadlines between chunks) follow up with Cva6Core::run(budget)
-/// segments and accumulate the results; run_host_program() is exactly
-/// prepare + one unbounded run.
+/// program load, argument/stack/pc setup. Callers that need budgeted
+/// dispatch (e.g. the serve daemon checking request deadlines between
+/// chunks) follow up with Cva6Core::run(budget) segments and accumulate
+/// the results; run_host_program() is exactly prepare + one unbounded
+/// run.
 void prepare_host_program(core::HulkVSoc& soc,
                           const std::vector<u32>& program,
                           std::span<const u64> args);

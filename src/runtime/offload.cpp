@@ -25,7 +25,7 @@ OffloadRuntime::OffloadRuntime(core::HulkVSoc* soc)
   HULKV_CHECK(soc != nullptr, "runtime needs a SoC");
 }
 
-analysis::Analysis OffloadRuntime::analyze_kernel_program(
+analysis::Report OffloadRuntime::analyze_kernel_program(
     const std::vector<u32>& words) const {
   analysis::Options options;
   options.base = 0;  // kernels are assembled position-independent
@@ -45,7 +45,7 @@ analysis::Analysis OffloadRuntime::analyze_kernel_program(
       analysis::Interval::range(
           tcdm_top - u64{num_cores > 0 ? num_cores - 1 : 0} * 1024,
           tcdm_top));
-  return analysis::analyze_program(words, options);
+  return analysis::analyze(words, options);
 }
 
 KernelHandle OffloadRuntime::register_kernel(
@@ -53,7 +53,7 @@ KernelHandle OffloadRuntime::register_kernel(
     std::vector<std::pair<std::string, u64>> symbols) {
   HULKV_CHECK(!words.empty(), "registering an empty kernel");
   if (analysis_mode_ != AnalysisMode::kOff) {
-    const analysis::Report report = analyze_kernel_program(words).report;
+    const analysis::Report report = analyze_kernel_program(words);
     analysis::log_report(report, name);
     if (analysis_mode_ == AnalysisMode::kReject && !report.ok()) {
       throw SimError("kernel '" + name + "' rejected by static analysis:\n" +

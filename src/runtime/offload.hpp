@@ -63,10 +63,10 @@ class OffloadRuntime {
     analysis_policy_ = policy;
   }
 
-  /// Full analysis (report + facts table) under the runtime's kernel
-  /// calling convention: a0 = argument block, sp in the per-core TCDM
-  /// stack window.
-  analysis::Analysis analyze_kernel_program(
+  /// The static-analysis report of `words` under the runtime's kernel
+  /// calling convention (a0 = argument block, sp in the per-core TCDM
+  /// stack window), the SoC's IOPMP grants and TCDM size.
+  analysis::Report analyze_kernel_program(
       const std::vector<u32>& words) const;
 
   /// Timing breakdown of one offload.

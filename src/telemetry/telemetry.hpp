@@ -41,7 +41,7 @@ namespace hulkv::telemetry {
 /// rendering order; names come from phase_name().
 enum class SpanPhase : u8 {
   kProgramAnalyze,   // static analysis of a guest image before load
-  kProgramLoad,      // image copy + fact attachment
+  kProgramLoad,      // image copy into guest memory
   kBlockTranslate,   // one isa::BlockCache block translation and lowering
   kHostDispatch,     // one host-ISS dispatch chunk (Cva6Core::run)
   kClusterDispatch,  // one PMCA kernel execution (Cluster::run_kernel)

@@ -1,17 +1,28 @@
 // Static-analyzer tests: one hand-built program per diagnostic class,
 // the load-path integration (register_kernel / run_host_program
-// rejection), and the "whole corpus is clean" regression over every
-// kernel and benchmark builder in the repo.
+// rejection), the "whole corpus is clean" regression over every
+// kernel and benchmark builder in the repo, and the whole-corpus golden
+// JSON (tests/golden/analyze_corpus.json, regenerate with
+// HULKV_REGEN_GOLDEN=1).
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "analysis/analyzer.hpp"
 #include "core/soc.hpp"
 #include "isa/assembler.hpp"
 #include "kernels/cluster_kernels.hpp"
+#include "kernels/corpus.hpp"
 #include "kernels/host_kernels.hpp"
 #include "kernels/iot_benchmarks.hpp"
 #include "kernels/kernel.hpp"
 #include "runtime/offload.hpp"
+
+#ifndef HULKV_TEST_DATA_DIR
+#define HULKV_TEST_DATA_DIR "."
+#endif
 
 namespace hulkv::analysis {
 namespace {
@@ -649,6 +660,26 @@ TEST(AnalyzerCorpus, AllHostProgramsAreClean) {
         << kernel.name << ":\n"
         << report.to_string();
   }
+}
+
+TEST(Corpus, JsonMatchesGolden) {
+  const std::string json =
+      kernels::render_corpus_json(kernels::run_corpus_analysis());
+  const std::string golden_path =
+      std::string(HULKV_TEST_DATA_DIR) + "/golden/analyze_corpus.json";
+  if (std::getenv("HULKV_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << json;
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  std::ifstream golden_file(golden_path);
+  ASSERT_TRUE(golden_file.good()) << "missing golden file " << golden_path;
+  std::ostringstream golden;
+  golden << golden_file.rdbuf();
+  EXPECT_EQ(json, golden.str())
+      << "whole-corpus analysis drifted; regenerate with "
+         "HULKV_REGEN_GOLDEN=1 if the change is intended";
 }
 
 }  // namespace

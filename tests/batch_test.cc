@@ -169,8 +169,7 @@ u32 parsed_jobs(std::vector<const char*> argv) {
   report::BenchOptions options;
   cli::Parser parser = report::bench_flag_parser("bench", &options);
   EXPECT_TRUE(parser.parse(static_cast<int>(argv.size()),
-                           const_cast<char**>(argv.data()),
-                           cli::Parser::OnUnknown::kIgnore))
+                           const_cast<char**>(argv.data())))
       << parser.error();
   return options.jobs;
 }

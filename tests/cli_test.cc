@@ -94,10 +94,9 @@ TEST(CliParser, RejectsBadNumbersAndMissingValues) {
   EXPECT_FALSE(parser.parse(missing.argc(), missing.argv()));
   EXPECT_FALSE(parser.error().empty());
 
-  // A value flag never swallows the next flag, under either policy.
+  // A value flag never swallows the next flag.
   Argv swallowing({"--count", "--other"});
-  EXPECT_FALSE(parser.parse(swallowing.argc(), swallowing.argv(),
-                            cli::Parser::OnUnknown::kIgnore));
+  EXPECT_FALSE(parser.parse(swallowing.argc(), swallowing.argv()));
   EXPECT_NE(parser.error().find("expects a value"), std::string::npos);
 
   Argv trailing({"--count=7x"});
@@ -124,18 +123,10 @@ TEST(CliParser, UnknownFlagPolicy) {
   cli::Parser parser("t");
   parser.add_u32("--count", &count, "");
 
-  // Tools: unknown flag is a hard error.
+  // An unknown flag is a hard error that names it.
   Argv unknown({"--count", "3", "--mystery"});
-  EXPECT_FALSE(
-      parser.parse(unknown.argc(), unknown.argv(), cli::Parser::OnUnknown::kError));
+  EXPECT_FALSE(parser.parse(unknown.argc(), unknown.argv()));
   EXPECT_NE(parser.error().find("--mystery"), std::string::npos);
-
-  // Benches: unknown flags belong to a wrapped tool and are ignored,
-  // and known flags around them still apply.
-  Argv ignored({"--mystery", "--count", "5"});
-  ASSERT_TRUE(parser.parse(ignored.argc(), ignored.argv(),
-                           cli::Parser::OnUnknown::kIgnore));
-  EXPECT_EQ(count, 5u);
 }
 
 TEST(CliParser, UsageListsEveryFlag) {
@@ -156,11 +147,8 @@ TEST(CliBench, BenchFlagParserKeepsHistoricalSemantics) {
   report::BenchOptions options;
   cli::Parser parser = report::bench_flag_parser("bench", &options);
   Argv args({"--json", "out.json", "--jobs=3", "--telemetry=runs2",
-             "--profile",
-             "--benchmark_filter=all"});  // wrapped-tool flag: ignored
-  ASSERT_TRUE(parser.parse(args.argc(), args.argv(),
-                           cli::Parser::OnUnknown::kIgnore))
-      << parser.error();
+             "--profile"});
+  ASSERT_TRUE(parser.parse(args.argc(), args.argv())) << parser.error();
   EXPECT_EQ(options.json_path, "out.json");
   EXPECT_EQ(options.jobs, 3u);
   EXPECT_TRUE(options.telemetry);
@@ -368,6 +356,50 @@ TEST(ToolCli, AnalyzeJsonEscapesControlCharactersInTheImageName) {
   ASSERT_NE(corpus, nullptr);
   ASSERT_EQ(corpus->as_array().size(), 1u);
   EXPECT_EQ(corpus->as_array()[0].find("name")->as_string(), image);
+}
+
+// Per-program mode prints the program's name, then its report, and ends
+// in a newline; a program without error-severity findings exits 0.
+TEST(ToolCli, AnalyzeProgramPrintsItsReportAndExitsZero) {
+  const Outcome o =
+      run_binary(std::string(HULKV_TOOLS_DIR) + "/hulkv-analyze",
+                 "cluster/matmul.int8", /*keep_stdout=*/true);
+  EXPECT_EQ(o.rc, 0) << o.err;
+  EXPECT_EQ(o.err,
+            "== cluster/matmul.int8 ==\n"
+            "note[dead-write] pc=0x44: register a0 is overwritten at "
+            "pc=0x4c before it is ever read\n"
+            "84 instructions, 14 blocks, 1 hardware loops: 0 error(s), "
+            "0 warning(s)\n");
+}
+
+// An image with an error-severity finding exits 1 and names it.
+TEST(ToolCli, AnalyzeImageWithAnErrorExitsOne) {
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const std::string image = dir.path + "/illegal.bin";
+  {
+    std::ofstream out(image, std::ios::binary);
+    const unsigned char word[4] = {0xff, 0xff, 0xff, 0xff};
+    out.write(reinterpret_cast<const char*>(word), sizeof(word));
+  }
+  const Outcome o =
+      run_binary(std::string(HULKV_TOOLS_DIR) + "/hulkv-analyze",
+                 "--image " + image, /*keep_stdout=*/true);
+  EXPECT_EQ(o.rc, 1) << o.err;
+  EXPECT_NE(o.err.find("error[illegal-instruction] pc=0x0"),
+            std::string::npos)
+      << o.err;
+}
+
+// A program name the corpus does not list is a usage error.
+TEST(ToolCli, AnalyzeUnknownProgramExitsTwo) {
+  const Outcome o = run_binary(
+      std::string(HULKV_TOOLS_DIR) + "/hulkv-analyze", "cluster/nosuch");
+  EXPECT_EQ(o.rc, 2) << o.err;
+  EXPECT_NE(o.err.find("unknown program 'cluster/nosuch'"),
+            std::string::npos)
+      << o.err;
 }
 
 // hulkv-stats parses its flags through cli::Parser: a malformed or

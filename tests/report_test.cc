@@ -143,21 +143,19 @@ TEST(ReportMetrics, TableReferencesSurviveLaterAddTable) {
   EXPECT_EQ(rep.tables().front().rows().size(), 1u);
 }
 
-/// The shared bench flags as the benches parse them, with unknown
-/// flags (a wrapped tool's) ignored.
+/// The shared bench flags as the benches parse them.
 BenchOptions parse(std::vector<const char*> argv) {
   BenchOptions options;
   cli::Parser parser = bench_flag_parser("bench", &options);
   EXPECT_TRUE(parser.parse(static_cast<int>(argv.size()),
-                           const_cast<char**>(argv.data()),
-                           cli::Parser::OnUnknown::kIgnore))
+                           const_cast<char**>(argv.data())))
       << parser.error();
   return options;
 }
 
 TEST(ReportArgs, ParsesJsonAndTraceFlagsBothSpellings) {
-  const BenchOptions a = parse({"bench", "--json", "out.json",
-                                "--trace=t.json", "--benchmark_filter=foo"});
+  const BenchOptions a =
+      parse({"bench", "--json", "out.json", "--trace=t.json"});
   EXPECT_EQ(a.json_path, "out.json");
   EXPECT_EQ(a.trace_path, "t.json");
 

@@ -7,9 +7,9 @@
 //   hulkv-analyze --image <path> [--profile host|cluster] [--base ADDR]
 //                                        raw image: little-endian u32s
 //
-// Whole-corpus mode prints one summary row per program (or the golden
-// JSON document with --json); per-program mode adds the per-block fact
-// table, the function summaries, and annotated diagnostics. Exit code
+// Whole-corpus mode prints one summary row per program, then every
+// diagnostic (or the golden JSON document with --json); per-program
+// mode prints that program's diagnostics and summary line. Exit code
 // is 0 when no analyzed program has error-severity diagnostics, 1
 // otherwise (so CI can gate on it), 2 on usage errors.
 #include <cctype>
@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "common/hex.hpp"
-#include "isa/disasm.hpp"
 #include "kernels/corpus.hpp"
 
 namespace {
@@ -61,41 +59,10 @@ bool parse_address(const std::string& text, u64* out) {
   return true;
 }
 
-/// Per-program detail: report, block fact table, function summaries.
+/// Per-program detail: the program name, then its report.
 void print_detail(const kernels::CorpusResult& r) {
-  const analysis::Report& rep = r.analysis.report;
-  const analysis::FactsTable& facts = r.analysis.facts;
-  std::printf("== %s ==\n%s", r.entry.name.c_str(),
-              rep.to_string().c_str());
-  std::printf("\nblocks (reachable %u, pure %u, memory-free %u, "
-              "tcdm-local %u, run-ahead eligible %u):\n",
-              facts.reachable_blocks(), facts.pure_blocks(),
-              facts.memory_free_blocks(), facts.tcdm_local_blocks(),
-              facts.eligible_blocks());
-  for (const analysis::BlockFacts& b : facts.blocks) {
-    std::printf("  [%s, %s) min_cycles=%u%s%s%s%s%s footprint=%s\n",
-                ("0x" + hex(b.start)).c_str(), ("0x" + hex(b.end)).c_str(),
-                b.min_cycles,
-                b.reachable ? "" : " unreachable",
-                b.may_access_memory ? " mem" : "",
-                b.may_ecall ? " ecall" : "", b.pure ? " pure" : "",
-                b.run_ahead_eligible ? " eligible" : "",
-                b.footprint.empty()
-                    ? "none"
-                    : b.footprint.to_string().c_str());
-  }
-  std::printf("functions (%zu):\n", facts.functions.size());
-  for (const analysis::FuncSummary& f : facts.functions) {
-    std::printf("  %s: %zu block(s), %zu callee(s)%s%s%s%s%s "
-                "footprint=%s\n",
-                ("0x" + hex(f.entry)).c_str(), f.blocks.size(),
-                f.callees.size(), f.recursive ? " recursive" : "",
-                f.has_indirect_call ? " indirect-call" : "",
-                f.may_access_memory ? " mem" : "",
-                f.may_ecall ? " ecall" : "", f.pure ? " pure" : "",
-                f.footprint.empty() ? "none"
-                                    : f.footprint.to_string().c_str());
-  }
+  std::printf("== %s ==\n%s\n", r.entry.name.c_str(),
+              r.report.to_string().c_str());
 }
 
 }  // namespace
@@ -159,7 +126,7 @@ int main(int argc, char** argv) {
       entry.words = std::move(words);
       if (profile == "host") entry.profile = analysis::IsaProfile::kHostRv64;
       kernels::CorpusResult r;
-      r.analysis = kernels::analyze_corpus_entry(entry);
+      r.report = kernels::analyze_corpus_entry(entry);
       if (base_set) {
         // Re-analyze at the requested base with the bare conventions
         // (no load-path entry seeding: the image is foreign).
@@ -167,7 +134,7 @@ int main(int argc, char** argv) {
         options.base = base;
         options.profile = entry.profile;
         options.pic = entry.profile == analysis::IsaProfile::kClusterRv32;
-        r.analysis = analysis::analyze_program(entry.words, options);
+        r.report = analysis::analyze(entry.words, options);
       }
       r.entry = std::move(entry);
       if (json) {
@@ -175,7 +142,7 @@ int main(int argc, char** argv) {
       } else {
         print_detail(r);
       }
-      return r.analysis.report.ok() ? 0 : 1;
+      return r.report.ok() ? 0 : 1;
     }
 
     std::vector<kernels::CorpusResult> results =
@@ -188,7 +155,7 @@ int main(int argc, char** argv) {
           } else {
             print_detail(r);
           }
-          return r.analysis.report.ok() ? 0 : 1;
+          return r.report.ok() ? 0 : 1;
         }
       }
       std::fprintf(stderr,
@@ -202,7 +169,7 @@ int main(int argc, char** argv) {
                     : kernels::render_corpus_text(results).c_str(),
                stdout);
     for (const kernels::CorpusResult& r : results) {
-      if (!r.analysis.report.ok()) return 1;
+      if (!r.report.ok()) return 1;
     }
     return 0;
   } catch (const std::exception& e) {
