@@ -204,6 +204,14 @@ assert manifest["kind"] == "serve", manifest["kind"]
 assert metrics["serve.cache_hits"]["value"] > 0, "no cache hits on repeat burst"
 assert metrics["serve.responses_ok"]["value"] == 16, metrics["serve.responses_ok"]
 assert metrics["serve.internal_errors"]["value"] == 0
+# Request latency comes from the observability plane's request
+# histogram (arrival to response written); no telemetry phase times a
+# request.
+latency = [metrics[k]["value"]
+           for k in ("serve.p50_ns", "serve.p99_ns", "serve.p999_ns")]
+assert 0 < latency[0] <= latency[1] <= latency[2], latency
+for phase in ("serve_request", "serve_point"):
+    assert phase not in manifest["phases"], manifest["phases"]
 EOF
 rm -rf "$serve_dir"
 

@@ -1,5 +1,6 @@
 #include "kernels/corpus.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -97,14 +98,20 @@ std::vector<CorpusResult> run_corpus_analysis() {
 }
 
 std::string render_corpus_text(const std::vector<CorpusResult>& results) {
+  // The program column holds the longest name and one space.
+  int name_width = sizeof("program ") - 1;
+  for (const CorpusResult& r : results) {
+    name_width =
+        std::max(name_width, static_cast<int>(r.entry.name.size()) + 1);
+  }
   std::ostringstream os;
-  os << std::left << std::setw(16) << "program" << std::right
+  os << std::left << std::setw(name_width) << "program" << std::right
      << std::setw(7) << "instrs" << std::setw(7) << "blocks"
      << std::setw(5) << "err" << std::setw(6) << "warn" << "\n";
   size_t diags = 0;
   for (const CorpusResult& r : results) {
     const analysis::Report& rep = r.report;
-    os << std::left << std::setw(16) << r.entry.name << std::right
+    os << std::left << std::setw(name_width) << r.entry.name << std::right
        << std::setw(7) << rep.instructions << std::setw(7) << rep.blocks
        << std::setw(5) << rep.errors() << std::setw(6) << rep.warnings()
        << "\n";

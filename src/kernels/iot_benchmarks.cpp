@@ -1,6 +1,11 @@
 #include "kernels/iot_benchmarks.hpp"
 
+#include <string_view>
+
+#include "common/rng.hpp"
 #include "isa/assembler.hpp"
+#include "kernels/golden.hpp"
+#include "kernels/host_kernels.hpp"
 
 namespace hulkv::kernels {
 
@@ -272,5 +277,103 @@ KernelProgram host_pointer_chase(u32 count) {
   a.ecall();
   return finish_program("chase", Precision::kInt32, a, count);
 }
+
+namespace {
+
+// Fig. 8's input sizes, divided by `scale`. At scale 1 every input fits
+// the 128 kB LLC (an embedded working set).
+constexpr u32 kCrcBytes = 64 * 1024;
+constexpr u32 kFirSamples = 16384;
+constexpr u32 kFirTaps = 32;
+constexpr u32 kSortElems = 16384;
+constexpr u32 kHistBytes = 96 * 1024;
+constexpr u32 kSearchBytes = 96 * 1024;
+constexpr std::string_view kNeedle = "abcdabcd";
+constexpr Addr kBase = core::layout::kSharedBase;
+
+KernelProgram crc32_program(u32 scale) {
+  return host_crc32(kCrcBytes / scale);
+}
+
+IotSetup crc32_setup(core::HulkVSoc& soc, u32 scale) {
+  const u32 n = kCrcBytes / scale;
+  Xoshiro256 rng(1);
+  std::vector<u8> data(n);
+  for (auto& b : data) b = static_cast<u8>(rng.next());
+  const auto table = golden::crc32_table();
+  soc.write_mem(kBase, data.data(), n);
+  soc.write_mem(kBase + n, table.data(), 1024);
+  return {crc32_program(scale), {kBase, kBase + n, kBase + n + 1024}};
+}
+
+KernelProgram fir_program(u32 scale) {
+  return host_fir_i32(kFirSamples / scale, kFirTaps);
+}
+
+IotSetup fir_setup(core::HulkVSoc& soc, u32 scale) {
+  const u32 n = kFirSamples / scale;
+  Xoshiro256 rng(2);
+  std::vector<i32> x(n), h(kFirTaps);
+  for (auto& v : x) v = static_cast<i32>(rng.next_range(-1000, 1000));
+  for (auto& v : h) v = static_cast<i32>(rng.next_range(-16, 16));
+  const Addr ph = kBase + n * 4;
+  soc.write_mem(kBase, x.data(), n * 4);
+  soc.write_mem(ph, h.data(), kFirTaps * 4);
+  return {fir_program(scale), {kBase, ph, ph + kFirTaps * 4}};
+}
+
+KernelProgram sort_program(u32 scale) {
+  return host_shell_sort(kSortElems / scale);
+}
+
+IotSetup sort_setup(core::HulkVSoc& soc, u32 scale) {
+  const u32 n = kSortElems / scale;
+  Xoshiro256 rng(3);
+  std::vector<i32> data(n);
+  for (auto& v : data)
+    v = static_cast<i32>(rng.next_range(-1000000, 1000000));
+  soc.write_mem(kBase, data.data(), n * 4);
+  return {sort_program(scale), {kBase}};
+}
+
+KernelProgram histogram_program(u32 scale) {
+  return host_histogram(kHistBytes / scale);
+}
+
+IotSetup histogram_setup(core::HulkVSoc& soc, u32 scale) {
+  const u32 n = kHistBytes / scale;
+  Xoshiro256 rng(4);
+  std::vector<u8> data(n);
+  for (auto& b : data) b = static_cast<u8>(rng.next());
+  soc.write_mem(kBase, data.data(), n);
+  return {histogram_program(scale), {kBase, kBase + n}};
+}
+
+KernelProgram strsearch_program(u32 scale) {
+  return host_strsearch(kSearchBytes / scale,
+                        static_cast<u32>(kNeedle.size()));
+}
+
+IotSetup strsearch_setup(core::HulkVSoc& soc, u32 scale) {
+  const u32 n = kSearchBytes / scale;
+  Xoshiro256 rng(5);
+  std::vector<u8> hay(n);
+  for (auto& b : hay) b = static_cast<u8>('a' + rng.next_below(4));
+  soc.write_mem(kBase, hay.data(), n);
+  soc.write_mem(kBase + n, kNeedle.data(), kNeedle.size());
+  return {strsearch_program(scale), {kBase, kBase + n, kBase + n + 64}};
+}
+
+constexpr IotBenchmark kIotBenchmarks[] = {
+    {"crc32", crc32_program, crc32_setup},
+    {"fir", fir_program, fir_setup},
+    {"sort", sort_program, sort_setup},
+    {"histogram", histogram_program, histogram_setup},
+    {"strsearch", strsearch_program, strsearch_setup},
+};
+
+}  // namespace
+
+std::span<const IotBenchmark> iot_benchmarks() { return kIotBenchmarks; }
 
 }  // namespace hulkv::kernels

@@ -12,12 +12,38 @@
 //   strsearch  - text scan with short inner loops (branchy)
 //
 // All run on the CVA6 ISS against the full memory hierarchy, so their
-// L1/LLC/DRAM behaviour is real, not synthetic.
+// L1/LLC/DRAM behaviour is real, not synthetic. iot_benchmarks() holds
+// their Fig. 8 inputs: fig8_llc_effect and the golden host digests run
+// it at scale 1, the serve catalogue (serve/workload.hpp) at scale 4.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "kernels/kernel.hpp"
 
 namespace hulkv::kernels {
+
+/// A benchmark's program and argument registers, its inputs written.
+struct IotSetup {
+  KernelProgram program;
+  std::vector<u64> args;
+};
+
+/// One Fig. 8 benchmark. `scale` divides Fig. 8's input sizes (the FIR
+/// taps and the strsearch needle keep theirs); the input seeds are 1-5
+/// in table order.
+struct IotBenchmark {
+  const char* name;
+  KernelProgram (*program)(u32 scale);
+  /// Write the inputs from core::layout::kSharedBase; return
+  /// {program(scale), args}.
+  IotSetup (*setup)(core::HulkVSoc& soc, u32 scale);
+};
+
+/// crc32, fir, sort, histogram, strsearch. The index is the serve
+/// workload id, so the table is append-only.
+std::span<const IotBenchmark> iot_benchmarks();
 
 /// CRC-32 over `n` bytes. Args: a0=data, a1=crc table (256 u32),
 /// a2=address for the resulting u32.

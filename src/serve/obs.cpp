@@ -1,11 +1,13 @@
 #include "serve/obs.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
 
 #include "serve/workload.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/chrome_trace.hpp"
 
 namespace hulkv::serve::obs {
 
@@ -159,10 +161,11 @@ void ServeObs::note_point(u8 workload, const StageClock& clock,
 }
 
 void ServeObs::complete(const RequestTrace& trace) {
-  // Stage histograms cover simulation requests only (every stage,
-  // including zero-length ones): each stage's count is exactly the
+  // Request and stage histograms cover simulation requests only (every
+  // stage, including zero-length ones): each count is exactly the
   // number of finalized requests, the invariant CI asserts.
   if (trace.points > 0) {
+    request_hist_.record(trace.total_ns);
     for (size_t s = 0; s < kNumStages; ++s) {
       stage_hist_[s].record(trace.stage_ns[s]);
     }
@@ -343,43 +346,26 @@ std::string ServeObs::render_prometheus(const Counters& c,
 std::string ServeObs::render_trace_json() {
   const std::vector<RequestTrace> traces = ring_.drain();
   std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,"
-        "\"args\":{\"name\":\"hulkv-serve (wall clock)\"}}";
+  trace::ChromeTraceWriter out(os);
+  constexpr u32 kPid = 3;
+  out.process_name(kPid, "hulkv-serve (wall clock)");
   // Requests render on a small fixed set of lanes (round-robin by
   // completion order) so concurrent requests don't stack on one row.
-  constexpr u32 kLanes = 8;
-  const u32 lanes =
-      static_cast<u32>(std::min<size_t>(traces.size(), kLanes));
-  for (u32 lane = 0; lane < std::max(lanes, 1u); ++lane) {
-    os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":3,\"tid\":"
-       << (lane + 1) << ",\"args\":{\"name\":\"requests-" << lane
-       << "\"}}";
+  constexpr size_t kLanes = 8;
+  const size_t lanes = std::clamp<size_t>(traces.size(), 1, kLanes);
+  for (u32 lane = 0; lane < lanes; ++lane) {
+    out.thread_name(kPid, lane + 1, "requests-" + std::to_string(lane));
   }
-  // Same anchor convention as trace::write_chrome_trace: span ts are
-  // steady ns relative to steady_anchor_ns, wall_epoch_ns is the
-  // matching calendar instant — so serve request spans from a process
-  // can be placed against its simulated-time Perfetto track.
-  os << ",{\"name\":\"clock_anchor\",\"cat\":\"hulkv-serve\","
-        "\"ph\":\"i\",\"s\":\"p\",\"pid\":3,\"tid\":1,\"ts\":0,"
-        "\"args\":{\"wall_epoch_ns\":"
-     << wall_anchor_ns_ << ",\"steady_anchor_ns\":" << steady_anchor_ns_
-     << "}}";
-  char buf[48];
+  out.clock_anchor(kPid, "hulkv-serve", wall_anchor_ns_, steady_anchor_ns_);
   for (size_t i = 0; i < traces.size(); ++i) {
     const RequestTrace& t = traces[i];
-    os << ",{\"name\":\"" << trace_type_name(t.type) << " "
-       << status_name(static_cast<Status>(t.status))
-       << "\",\"cat\":\"hulkv-serve\",\"pid\":3,\"tid\":"
-       << (i % kLanes + 1) << ",\"ts\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(t.start_ns) / 1000.0);
-    os << buf << ",\"ph\":\"X\",\"dur\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(t.total_ns) / 1000.0);
-    os << buf << ",\"args\":" << trace_json_object(t) << "}";
+    out.wall_slice(kPid, static_cast<u32>(i % kLanes + 1),
+                   std::string(trace_type_name(t.type)) + " " +
+                       status_name(static_cast<Status>(t.status)),
+                   "hulkv-serve", t.start_ns, t.total_ns,
+                   trace_json_object(t));
   }
-  os << "]}";
+  out.finish();
   return os.str();
 }
 

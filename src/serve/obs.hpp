@@ -12,10 +12,12 @@
 //   response_write response encode + socket write
 //
 // Completed requests land as fixed-size `RequestTrace` records in a
-// lock-free bounded ring (overwrite-oldest; drained by the kTrace op)
-// and feed per-stage latency histograms plus per-workload aggregates
-// (the kMetrics Prometheus exposition and the kStats per-workload
-// JSON). Purely observational: nothing on the simulation path reads
+// lock-free bounded ring (overwrite-oldest; drained by the kTrace op as
+// pid 3 of trace/chrome_trace.hpp) and feed the daemon's one request
+// latency histogram, the per-stage histograms and per-workload
+// aggregates (the kMetrics exposition, the kStats per-workload JSON and
+// the manifest's serve.p50_ns/p99_ns/p999_ns). Purely
+// observational: nothing on the simulation path reads
 // observability state, so response bytes stay byte-identical at any
 // worker count with the plane on or off. Cheap-when-disabled, like
 // hulkv::telemetry: without a StageClock, Service::run_point reads no
@@ -174,17 +176,18 @@ class ServeObs {
 
   /// Steady/wall clock pair captured at construction: RequestTrace
   /// start_ns is relative to steady_anchor_ns(), and the kTrace export
-  /// carries both as its clock_anchor (the chrome_trace convention, so
-  /// serve spans correlate with the simulated-time track).
+  /// carries both as its clock_anchor (trace/chrome_trace.hpp), so
+  /// serve spans correlate with the simulated-time track.
   u64 steady_anchor_ns() const { return steady_anchor_ns_; }
   u64 wall_anchor_ns() const { return wall_anchor_ns_; }
 
   /// Record one completed simulation point (per-workload aggregates).
   void note_point(u8 workload, const StageClock& clock, u64 cycles);
 
-  /// Record one answered request: ring push, outcome-independent stage
-  /// histograms (simulation requests only, so every stage's count is
-  /// the number of finalized requests), and the slow-request log.
+  /// Record one answered request: ring push, outcome-independent
+  /// request (arrival -> response written) and stage histograms
+  /// (simulation requests only, so each count is the number of
+  /// finalized requests), and the slow-request log.
   void complete(const RequestTrace& trace);
 
   /// Prometheus text exposition (the kMetrics payload).
@@ -198,6 +201,9 @@ class ServeObs {
   /// Extended kStats member: {"<workload>":{"points":..,...},...}.
   std::string per_workload_json() const;
 
+  telemetry::HistogramData request_histogram() const {
+    return request_hist_.snapshot();
+  }
   telemetry::HistogramData stage_histogram(Stage stage) const {
     return stage_hist_[static_cast<size_t>(stage)].snapshot();
   }
@@ -220,6 +226,7 @@ class ServeObs {
   u64 wall_anchor_ns_ = 0;
   u64 slow_threshold_ns_ = 0;
 
+  telemetry::AtomicHistogram request_hist_;
   telemetry::AtomicHistogram stage_hist_[kNumStages];
   WorkloadAgg workload_agg_[kMaxWorkloads];
   std::atomic<u64> run_chunks_{0};

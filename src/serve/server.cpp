@@ -522,10 +522,6 @@ void Server::finalize_job(const std::shared_ptr<Job>& job) {
     case Status::kShuttingDown: rejects_shutdown_.fetch_add(1); break;
     default: internal_errors_.fetch_add(1); break;
   }
-  if (telemetry::enabled()) {
-    telemetry::registry().record(telemetry::SpanPhase::kServeRequest,
-                                 telemetry::now_ns() - job->admit_ns);
-  }
 }
 
 void Server::release_quota(u32 client_id) {
@@ -597,46 +593,28 @@ void Server::stop() {
 }
 
 std::string Server::stats_json() const {
-  u64 queued = 0, in_flight = 0, max_depth = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queued = queued_points_;
-    in_flight = in_flight_points_;
-    max_depth = max_queue_depth_;
+  const obs::Counters c = counters_snapshot();
+  const obs::Gauges g = gauges_snapshot();
+  const std::pair<const char*, u64> fields[] = {
+      {"requests", c.requests}, {"admitted", c.admitted},
+      {"responses_ok", c.responses_ok},
+      {"rejects_bad_request", c.rejects_bad_request},
+      {"rejects_queue_full", c.rejects_queue_full},
+      {"rejects_quota", c.rejects_quota},
+      {"rejects_shutdown", c.rejects_shutdown},
+      {"deadline_expired", c.deadline_expired},
+      {"internal_errors", c.internal_errors}, {"pings", c.pings},
+      {"cache_hits", c.cache_hits}, {"cache_misses", c.cache_misses},
+      {"cache_entries", g.cache_entries}, {"cold_builds", c.cold_builds},
+      {"points_simulated", c.points_simulated},
+      {"queued_points", g.queued_points},
+      {"in_flight_points", g.in_flight_points},
+      {"max_queue_depth", g.max_queue_depth}, {"workers", g.workers}};
+  std::string out = "{";
+  for (const auto& [key, value] : fields) {
+    out += "\"" + std::string(key) + "\":" + std::to_string(value) + ",";
   }
-  const ResultCache& cache = service_.cache();
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"requests\":%llu,\"admitted\":%llu,\"responses_ok\":%llu,"
-      "\"rejects_bad_request\":%llu,\"rejects_queue_full\":%llu,"
-      "\"rejects_quota\":%llu,\"rejects_shutdown\":%llu,"
-      "\"deadline_expired\":%llu,\"internal_errors\":%llu,"
-      "\"pings\":%llu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
-      "\"cache_entries\":%llu,\"cold_builds\":%llu,"
-      "\"points_simulated\":%llu,\"queued_points\":%llu,"
-      "\"in_flight_points\":%llu,\"max_queue_depth\":%llu,"
-      "\"workers\":%u,",
-      static_cast<unsigned long long>(requests_seen_.load()),
-      static_cast<unsigned long long>(requests_admitted_.load()),
-      static_cast<unsigned long long>(responses_ok_.load()),
-      static_cast<unsigned long long>(rejects_bad_request_.load()),
-      static_cast<unsigned long long>(rejects_queue_full_.load()),
-      static_cast<unsigned long long>(rejects_quota_.load()),
-      static_cast<unsigned long long>(rejects_shutdown_.load()),
-      static_cast<unsigned long long>(deadline_expired_.load()),
-      static_cast<unsigned long long>(internal_errors_.load()),
-      static_cast<unsigned long long>(pings_.load()),
-      static_cast<unsigned long long>(cache.hits()),
-      static_cast<unsigned long long>(cache.misses()),
-      static_cast<unsigned long long>(cache.entries()),
-      static_cast<unsigned long long>(service_.warm_pool_cold_builds()),
-      static_cast<unsigned long long>(service_.points_simulated()),
-      static_cast<unsigned long long>(queued),
-      static_cast<unsigned long long>(in_flight),
-      static_cast<unsigned long long>(max_depth), config_.workers);
-  return std::string(buf) + "\"per_workload\":" +
-         obs_->per_workload_json() + "}";
+  return out + "\"per_workload\":" + obs_->per_workload_json() + "}";
 }
 
 obs::Counters Server::counters_snapshot() const {
@@ -679,57 +657,52 @@ obs::Gauges Server::gauges_snapshot() const {
 
 void Server::flush_manifest() {
   if (config_.telemetry_dir.empty()) return;
-  const double uptime_s =
-      static_cast<double>(telemetry::now_ns() - start_ns_) / 1e9;
-  const u64 hits = service_.cache().hits();
-  const u64 misses = service_.cache().misses();
+  const obs::Counters c = counters_snapshot();
+  const obs::Gauges g = gauges_snapshot();
   const double hit_rate =
-      hits + misses == 0
+      c.cache_hits + c.cache_misses == 0
           ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
+          : static_cast<double>(c.cache_hits) /
+                static_cast<double>(c.cache_hits + c.cache_misses);
 
   report::MetricsReport rep("hulkv_serve");
   rep.add_note("hulkv-serve daemon run summary (DESIGN.md section 16).");
   const auto add = [&rep](const char* key, u64 v, const char* unit = "") {
     rep.add_metric(key, report::Value::uinteger(v), unit);
   };
-  add("serve.requests", requests_seen_.load());
-  add("serve.admitted", requests_admitted_.load());
-  add("serve.responses_ok", responses_ok_.load());
-  add("serve.rejects_bad_request", rejects_bad_request_.load());
-  add("serve.rejects_queue_full", rejects_queue_full_.load());
-  add("serve.rejects_quota", rejects_quota_.load());
-  add("serve.rejects_shutdown", rejects_shutdown_.load());
-  add("serve.deadline_expired", deadline_expired_.load());
-  add("serve.internal_errors", internal_errors_.load());
-  add("serve.pings", pings_.load());
-  add("serve.cache_hits", hits);
-  add("serve.cache_misses", misses);
-  add("serve.cache_entries", service_.cache().entries());
+  add("serve.requests", c.requests);
+  add("serve.admitted", c.admitted);
+  add("serve.responses_ok", c.responses_ok);
+  add("serve.rejects_bad_request", c.rejects_bad_request);
+  add("serve.rejects_queue_full", c.rejects_queue_full);
+  add("serve.rejects_quota", c.rejects_quota);
+  add("serve.rejects_shutdown", c.rejects_shutdown);
+  add("serve.deadline_expired", c.deadline_expired);
+  add("serve.internal_errors", c.internal_errors);
+  add("serve.pings", c.pings);
+  add("serve.cache_hits", c.cache_hits);
+  add("serve.cache_misses", c.cache_misses);
+  add("serve.cache_entries", g.cache_entries);
   rep.add_metric("serve.cache_hit_rate",
                  report::Value::number(hit_rate, 4), "");
-  add("serve.cold_builds", service_.warm_pool_cold_builds());
-  add("serve.points_simulated", service_.points_simulated());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    add("serve.max_queue_depth", max_queue_depth_);
-  }
-  add("serve.workers", config_.workers);
-  rep.add_metric("serve.uptime_s", report::Value::number(uptime_s, 3),
+  add("serve.cold_builds", c.cold_builds);
+  add("serve.points_simulated", c.points_simulated);
+  add("serve.max_queue_depth", g.max_queue_depth);
+  add("serve.workers", g.workers);
+  rep.add_metric("serve.uptime_s", report::Value::number(g.uptime_s, 3),
                  "s");
   rep.add_metric(
       "serve.requests_per_s",
-      report::Value::number(uptime_s == 0.0
-                                ? 0.0
-                                : static_cast<double>(
-                                      requests_admitted_.load()) /
-                                      uptime_s,
-                            2),
+      report::Value::number(
+          g.uptime_s == 0.0
+              ? 0.0
+              : static_cast<double>(c.admitted) / g.uptime_s,
+          2),
       "1/s");
-  if (telemetry::enabled()) {
-    const telemetry::HistogramData lat =
-        telemetry::registry().phase_histogram(
-            telemetry::SpanPhase::kServeRequest);
+  if (obs_->enabled()) {
+    // Arrival -> response written, simulation requests only: the same
+    // interval a kTrace slice spans.
+    const telemetry::HistogramData lat = obs_->request_histogram();
     add("serve.p50_ns", lat.percentile(50), "ns");
     add("serve.p99_ns", lat.percentile(99), "ns");
     add("serve.p999_ns", lat.percentile(99.9), "ns");
@@ -740,7 +713,6 @@ void Server::flush_manifest() {
   manifest.kind = telemetry::kManifestKindServe;
   // Schema v4: per-request aggregates from the observability plane.
   manifest.serve_requests.present = true;
-  const obs::Counters c = counters_snapshot();
   manifest.serve_requests.outcomes = {
       {"ok", c.responses_ok},
       {"bad_request", c.rejects_bad_request},

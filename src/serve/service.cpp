@@ -27,7 +27,6 @@ Service::PointResult Service::run_point(const PointParams& point,
     }
   }
 
-  const telemetry::Span span(telemetry::SpanPhase::kServePoint);
   const u64 fork0 = clock != nullptr ? telemetry::now_ns() : 0;
   const WarmPool::Entry& entry = warm_pool_.get(point);
   if (telemetry::enabled()) {

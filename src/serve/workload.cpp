@@ -1,56 +1,32 @@
 #include "serve/workload.hpp"
 
 #include <string>
-#include <utility>
 
-#include "common/rng.hpp"
-#include "kernels/golden.hpp"
-#include "kernels/host_kernels.hpp"
-#include "kernels/iot_benchmarks.hpp"
 #include "snapshot/archive.hpp"
 
 namespace hulkv::serve {
 
 namespace {
 
-// Service-sized problem footprints: same shapes and seeds-per-workload
-// scheme as bench/fig8_llc_effect.cpp, scaled down ~4x so one point is
-// milliseconds of simulation.
-constexpr u32 kCrcBytes = 16 * 1024;
-constexpr u32 kFirSamples = 4096;
-constexpr u32 kFirTaps = 32;
-constexpr u32 kSortElems = 4096;
-constexpr u32 kHistBytes = 24 * 1024;
-constexpr u32 kSearchBytes = 24 * 1024;
-constexpr u32 kNeedleBytes = 8;
+// Service-sized footprints: Fig. 8's inputs divided by four, so one
+// point is milliseconds of simulation.
+constexpr u32 kServeScale = 4;
 
-constexpr const char* kWorkloadNames[] = {"crc32", "fir", "sort",
-                                          "histogram", "strsearch"};
-constexpr u8 kWorkloadCount =
-    static_cast<u8>(sizeof(kWorkloadNames) / sizeof(kWorkloadNames[0]));
-
-kernels::KernelProgram build_program(u8 id) {
-  switch (id) {
-    case 0: return kernels::host_crc32(kCrcBytes);
-    case 1: return kernels::host_fir_i32(kFirSamples, kFirTaps);
-    case 2: return kernels::host_shell_sort(kSortElems);
-    case 3: return kernels::host_histogram(kHistBytes);
-    case 4: return kernels::host_strsearch(kSearchBytes, kNeedleBytes);
-  }
-  throw SimError("serve: unknown workload id " + std::to_string(id));
+const kernels::IotBenchmark& benchmark(u8 id) {
+  check_workload(id);
+  return kernels::iot_benchmarks()[id];
 }
 
 }  // namespace
 
-u8 workload_count() { return kWorkloadCount; }
-
-const char* workload_name(u8 id) {
-  check_workload(id);
-  return kWorkloadNames[id];
+u8 workload_count() {
+  return static_cast<u8>(kernels::iot_benchmarks().size());
 }
 
+const char* workload_name(u8 id) { return benchmark(id).name; }
+
 void check_workload(u8 id) {
-  HULKV_CHECK(id < kWorkloadCount,
+  HULKV_CHECK(id < workload_count(),
               "serve: workload id out of range: " + std::to_string(id));
 }
 
@@ -72,64 +48,7 @@ core::SocConfig point_config(const PointParams& point) {
 }
 
 WorkloadSetup setup_workload(u8 id, core::HulkVSoc& soc) {
-  check_workload(id);
-  switch (id) {
-    case 0: {  // crc32: streaming reads + table lookups
-      Xoshiro256 rng(1);
-      std::vector<u8> data(kCrcBytes);
-      for (auto& b : data) b = static_cast<u8>(rng.next());
-      const auto table = kernels::golden::crc32_table();
-      const Addr pd = core::layout::kSharedBase;
-      const Addr pt = pd + kCrcBytes;
-      const Addr pr = pt + 1024;
-      soc.write_mem(pd, data.data(), kCrcBytes);
-      soc.write_mem(pt, table.data(), 1024);
-      return {build_program(id), {pd, pt, pr}};
-    }
-    case 1: {  // fir: dense compute over a sliding window
-      Xoshiro256 rng(2);
-      std::vector<i32> x(kFirSamples), h(kFirTaps);
-      for (auto& v : x) v = static_cast<i32>(rng.next_range(-1000, 1000));
-      for (auto& v : h) v = static_cast<i32>(rng.next_range(-16, 16));
-      const Addr px = core::layout::kSharedBase;
-      const Addr ph = px + kFirSamples * 4;
-      const Addr py = ph + kFirTaps * 4;
-      soc.write_mem(px, x.data(), kFirSamples * 4);
-      soc.write_mem(ph, h.data(), kFirTaps * 4);
-      return {build_program(id), {px, ph, py}};
-    }
-    case 2: {  // sort: strided, data-dependent accesses
-      Xoshiro256 rng(3);
-      std::vector<i32> data(kSortElems);
-      for (auto& v : data)
-        v = static_cast<i32>(rng.next_range(-1000000, 1000000));
-      const Addr pd = core::layout::kSharedBase;
-      soc.write_mem(pd, data.data(), kSortElems * 4);
-      return {build_program(id), {pd}};
-    }
-    case 3: {  // histogram: streaming reads + scattered RMW
-      Xoshiro256 rng(4);
-      std::vector<u8> data(kHistBytes);
-      for (auto& b : data) b = static_cast<u8>(rng.next());
-      const Addr pd = core::layout::kSharedBase;
-      const Addr pb = pd + kHistBytes;
-      soc.write_mem(pd, data.data(), kHistBytes);
-      return {build_program(id), {pd, pb}};
-    }
-    case 4: {  // strsearch: branchy text scan
-      Xoshiro256 rng(5);
-      std::vector<u8> hay(kSearchBytes);
-      for (auto& b : hay) b = static_cast<u8>('a' + rng.next_below(4));
-      const std::string needle = "abcdabcd";
-      const Addr ph = core::layout::kSharedBase;
-      const Addr pn = ph + kSearchBytes;
-      const Addr pr = pn + 64;
-      soc.write_mem(ph, hay.data(), kSearchBytes);
-      soc.write_mem(pn, needle.data(), kNeedleBytes);
-      return {build_program(id), {ph, pn, pr}};
-    }
-  }
-  throw SimError("serve: unreachable workload id");
+  return benchmark(id).setup(soc, kServeScale);
 }
 
 u64 workload_digest(u8 id) {
@@ -137,8 +56,8 @@ u64 workload_digest(u8 id) {
   // Built once per process: the programs are pure functions of the id.
   static const std::vector<u64> digests = [] {
     std::vector<u64> out;
-    for (u8 w = 0; w < kWorkloadCount; ++w) {
-      const kernels::KernelProgram program = build_program(w);
+    for (const kernels::IotBenchmark& b : kernels::iot_benchmarks()) {
+      const kernels::KernelProgram program = b.program(kServeScale);
       out.push_back(snapshot::fnv1a(snapshot::kFnvOffset,
                                     program.words.data(),
                                     program.words.size() * sizeof(u32)));

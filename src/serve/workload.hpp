@@ -1,16 +1,15 @@
 // The workload catalogue served by the hulkv::serve daemon: the five
-// Fig. 8 IoT CPU-centric benchmarks at service-sized footprints (a few
-// ms per point instead of seconds, so a request is an RPC rather than
-// a batch job). Workload ids are wire-protocol values — the table is
-// append-only, and every program is built from fixed compile-time
-// sizes and fixed RNG seeds so its digest (cache-key component) is a
-// pure function of the id.
+// Fig. 8 IoT CPU-centric benchmarks of kernels::iot_benchmarks() at
+// scale 4, a quarter of Fig. 8's input sizes (a few ms per point
+// instead of seconds, so a request is an RPC rather than a batch job).
+// Workload ids are wire-protocol values, the indices of that table,
+// which is append-only; every program is built from fixed sizes and
+// fixed RNG seeds, so its digest (cache-key component) is a pure
+// function of the id.
 #pragma once
 
-#include <vector>
-
 #include "core/soc.hpp"
-#include "kernels/kernel.hpp"
+#include "kernels/iot_benchmarks.hpp"
 #include "serve/protocol.hpp"
 
 namespace hulkv::serve {
@@ -32,10 +31,7 @@ core::SocConfig point_config(const PointParams& point);
 
 /// A workload instantiated on a SoC: input data written to shared
 /// memory, program built, argument registers chosen.
-struct WorkloadSetup {
-  kernels::KernelProgram program;
-  std::vector<u64> args;
-};
+using WorkloadSetup = kernels::IotSetup;
 
 /// Write the workload's input data into `soc` and return its program
 /// and arguments. Deterministic: fixed sizes, fixed seeds.

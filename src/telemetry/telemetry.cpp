@@ -66,8 +66,6 @@ const char* phase_name(SpanPhase phase) {
     case SpanPhase::kSnapshotRestore: return "snapshot_restore";
     case SpanPhase::kSnapshotDigest: return "snapshot_digest";
     case SpanPhase::kBatchJob: return "batch_job";
-    case SpanPhase::kServeRequest: return "serve_request";
-    case SpanPhase::kServePoint: return "serve_point";
   }
   return "?";
 }

@@ -49,11 +49,9 @@ enum class SpanPhase : u8 {
   kSnapshotRestore,  // HulkVSoc::restore
   kSnapshotDigest,   // HulkVSoc::state_digest
   kBatchJob,         // one batch::run_jobs job
-  kServeRequest,     // one serve daemon request, admission -> response
-  kServePoint,       // one simulation point inside a serve request
 };
 inline constexpr size_t kNumSpanPhases =
-    static_cast<size_t>(SpanPhase::kServePoint) + 1;
+    static_cast<size_t>(SpanPhase::kBatchJob) + 1;
 
 /// Stable lowercase name ("program_analyze", "batch_job", ...).
 const char* phase_name(SpanPhase phase);

@@ -14,23 +14,18 @@ namespace hulkv::trace {
 
 namespace {
 
-/// Format a cycle timestamp in microseconds. With the default 1 cycle =
-/// 1 us mapping this prints exact integers.
-void write_us(std::ostream& os, Cycles cycles, double cycles_per_us) {
-  if (cycles_per_us == 1.0) {
-    os << cycles;
-    return;
-  }
+/// Steady-clock nanoseconds as trace microseconds, three decimals.
+void write_wall_us(std::ostream& os, u64 ns) {
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(cycles) / cycles_per_us);
+  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1000.0);
   os << buf;
 }
 
-void write_common(std::ostream& os, const Event& e, double cycles_per_us) {
+/// One simulated cycle is one trace microsecond, so cycle numbers stay
+/// integers in the viewer.
+void write_common(std::ostream& os, const Event& e) {
   os << "{\"name\":\"" << event_name(e.type) << "\",\"cat\":\"hulkv\""
-     << ",\"pid\":1,\"tid\":" << (e.track + 1) << ",\"ts\":";
-  write_us(os, e.ts, cycles_per_us);
+     << ",\"pid\":1,\"tid\":" << (e.track + 1) << ",\"ts\":" << e.ts;
 }
 
 void write_args(std::ostream& os, const Event& e) {
@@ -46,114 +41,125 @@ void write_args(std::ostream& os, const Event& e) {
   os << "}";
 }
 
+/// pid 2: the telemetry registry's retained host spans, one lane per
+/// host thread. The retained span buffer is flushed and copied here, so
+/// the export sees everything recorded up to this call.
+void write_telemetry_spans(ChromeTraceWriter& out) {
+  const telemetry::Registry& reg = telemetry::registry();
+  const std::vector<telemetry::SpanRecord> spans = reg.spans();
+  if (spans.empty()) return;
+  constexpr u32 kPid = 2;
+  out.process_name(kPid, "hulkv-host (wall clock)");
+  u32 max_thread = 0;
+  for (const telemetry::SpanRecord& s : spans) {
+    max_thread = std::max(max_thread, s.thread);
+  }
+  for (u32 t = 0; t <= max_thread; ++t) {
+    out.thread_name(kPid, t + 1, "host-thread-" + std::to_string(t));
+  }
+  out.clock_anchor(kPid, "hulkv-host", reg.wall_anchor_ns(),
+                   reg.steady_anchor_ns());
+  for (const telemetry::SpanRecord& s : spans) {
+    out.wall_slice(kPid, s.thread + 1, telemetry::phase_name(s.phase),
+                   "hulkv-host", s.start_ns, s.dur_ns,
+                   "{\"depth\":" + std::to_string(s.depth) + "}");
+  }
+}
+
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, const TraceSink& sink,
-                        const ChromeTraceOptions& options) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit_sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(os) {
+  os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+}
+
+std::ostream& ChromeTraceWriter::event() {
+  if (!first_) os_ << ",\n";
+  first_ = false;
+  return os_;
+}
+
+void ChromeTraceWriter::process_name(u32 pid, std::string_view name) {
+  event() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+          << ",\"args\":{\"name\":" << json_quote(name) << "}}";
+}
+
+void ChromeTraceWriter::thread_name(u32 pid, u32 tid, std::string_view name) {
+  event() << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
+          << ",\"tid\":" << tid << ",\"args\":{\"name\":" << json_quote(name)
+          << "}}";
+}
+
+void ChromeTraceWriter::clock_anchor(u32 pid, std::string_view cat,
+                                     u64 wall_epoch_ns,
+                                     u64 steady_anchor_ns) {
+  event() << "{\"name\":\"clock_anchor\",\"cat\":" << json_quote(cat)
+          << ",\"ph\":\"i\",\"s\":\"p\",\"pid\":" << pid
+          << ",\"tid\":1,\"ts\":0,\"args\":{\"wall_epoch_ns\":"
+          << wall_epoch_ns << ",\"steady_anchor_ns\":" << steady_anchor_ns
+          << "}}";
+}
+
+void ChromeTraceWriter::wall_slice(u32 pid, u32 tid, std::string_view name,
+                                   std::string_view cat, u64 start_ns,
+                                   u64 dur_ns, std::string_view args) {
+  std::ostream& os = event();
+  os << "{\"name\":" << json_quote(name) << ",\"cat\":" << json_quote(cat)
+     << ",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":";
+  write_wall_us(os, start_ns);
+  os << ",\"ph\":\"X\",\"dur\":";
+  write_wall_us(os, dur_ns);
+  os << ",\"args\":" << args << "}";
+}
+
+void ChromeTraceWriter::finish() { os_ << "]}\n"; }
+
+void write_chrome_trace(std::ostream& os, const TraceSink& sink) {
+  ChromeTraceWriter out(os);
 
   // One named thread per track so viewers show labelled swimlanes.
   const auto& tracks = sink.track_names();
   for (u32 t = 0; t < tracks.size(); ++t) {
-    emit_sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-       << (t + 1) << ",\"args\":{\"name\":" << json_quote(tracks[t])
-       << "}}";
+    out.thread_name(1, t + 1, tracks[t]);
   }
-  emit_sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-        "\"args\":{\"name\":\"hulkv-soc\"}}";
+  out.process_name(1, "hulkv-soc");
 
   // Counter events carry deltas in the sink; the trace_event "C" phase
   // wants absolute values, so accumulate per (track, type).
   std::vector<std::array<u64, kNumEventTypes>> totals(tracks.size());
 
   for (const Event& e : sink.events()) {
-    emit_sep();
+    std::ostream& ev = out.event();
     switch (event_phase(e.type)) {
       case Phase::kComplete:
-        write_common(os, e, options.cycles_per_us);
-        os << ",\"ph\":\"X\",\"dur\":";
-        write_us(os, e.dur, options.cycles_per_us);
-        write_args(os, e);
-        os << "}";
+        write_common(ev, e);
+        ev << ",\"ph\":\"X\",\"dur\":" << e.dur;
+        write_args(ev, e);
+        ev << "}";
         break;
       case Phase::kInstant:
-        write_common(os, e, options.cycles_per_us);
-        os << ",\"ph\":\"i\",\"s\":\"t\"";
-        write_args(os, e);
-        os << "}";
+        write_common(ev, e);
+        ev << ",\"ph\":\"i\",\"s\":\"t\"";
+        write_args(ev, e);
+        ev << "}";
         break;
       case Phase::kCounter: {
         u64& total = totals[e.track][static_cast<size_t>(e.type)];
         total += e.value;
-        write_common(os, e, options.cycles_per_us);
-        os << ",\"ph\":\"C\",\"args\":{\"value\":" << total << "}}";
+        write_common(ev, e);
+        ev << ",\"ph\":\"C\",\"args\":{\"value\":" << total << "}}";
         break;
       }
     }
   }
 
-  // Host-side telemetry spans: a second process on the wall clock. The
-  // retained span buffer is flushed and copied here, so the export sees
-  // everything recorded up to this call.
-  if (options.host_spans) {
-    const std::vector<telemetry::SpanRecord> spans =
-        telemetry::registry().spans();
-    if (!spans.empty()) {
-      emit_sep();
-      os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
-            "\"args\":{\"name\":\"hulkv-host (wall clock)\"}}";
-      u32 max_thread = 0;
-      for (const telemetry::SpanRecord& s : spans) {
-        max_thread = std::max(max_thread, static_cast<u32>(s.thread));
-      }
-      for (u32 t = 0; t <= max_thread; ++t) {
-        emit_sep();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":"
-           << (t + 1) << ",\"args\":{\"name\":\"host-thread-" << t
-           << "\"}}";
-      }
-      // Clock anchor: span timestamps are steady-clock ns relative to
-      // telemetry enable; wall_epoch_ns is the matching wall-clock
-      // epoch instant, so post-processing can place spans in absolute
-      // time (and correlate manifests from the same run).
-      emit_sep();
-      os << "{\"name\":\"clock_anchor\",\"cat\":\"hulkv-host\","
-            "\"ph\":\"i\",\"s\":\"p\",\"pid\":2,\"tid\":1,\"ts\":0,"
-            "\"args\":{\"wall_epoch_ns\":"
-         << telemetry::registry().wall_anchor_ns()
-         << ",\"steady_anchor_ns\":"
-         << telemetry::registry().steady_anchor_ns() << "}}";
-      char buf[48];
-      for (const telemetry::SpanRecord& s : spans) {
-        emit_sep();
-        os << "{\"name\":\"" << telemetry::phase_name(s.phase)
-           << "\",\"cat\":\"hulkv-host\",\"pid\":2,\"tid\":"
-           << (static_cast<u32>(s.thread) + 1) << ",\"ts\":";
-        std::snprintf(buf, sizeof(buf), "%.3f",
-                      static_cast<double>(s.start_ns) / 1000.0);
-        os << buf << ",\"ph\":\"X\",\"dur\":";
-        std::snprintf(buf, sizeof(buf), "%.3f",
-                      static_cast<double>(s.dur_ns) / 1000.0);
-        os << buf << ",\"args\":{\"depth\":" << static_cast<u32>(s.depth)
-           << "}}";
-      }
-    }
-  }
-  os << "]}\n";
+  write_telemetry_spans(out);
+  out.finish();
 }
 
-void write_chrome_trace_file(const std::string& path, const TraceSink& sink,
-                             const ChromeTraceOptions& options) {
+void write_chrome_trace_file(const std::string& path, const TraceSink& sink) {
   std::ofstream out(path);
   if (!out) throw SimError("cannot open trace output file: " + path);
-  write_chrome_trace(out, sink, options);
+  write_chrome_trace(out, sink);
 }
 
 }  // namespace hulkv::trace

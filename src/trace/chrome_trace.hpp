@@ -1,43 +1,58 @@
-// Perfetto / Chrome `trace_event` JSON export of a TraceSink.
+// Perfetto / Chrome `trace_event` JSON: the one writer of it.
 //
-// The output is the JSON-object form ({"traceEvents": [...]}) that both
-// chrome://tracing and https://ui.perfetto.dev load directly. Every
-// interned track renders as one named thread (pid 1), so the SoC shows
-// up as parallel swimlanes: host core, PMCA cores, caches, memories,
-// DMAs and the offload runtime.
+// The output is the JSON-object form ({"traceEvents": [...]}), one event
+// per line, that chrome://tracing and https://ui.perfetto.dev load. It
+// holds up to three processes:
+//
+//   pid 1  "hulkv-soc": a TraceSink's simulated events, one named thread
+//          per track; one cycle is one microsecond.
+//   pid 2  "hulkv-host (wall clock)": telemetry's retained host spans,
+//          one lane per host thread.
+//   pid 3  "hulkv-serve (wall clock)": the serve daemon's completed
+//          requests (the kTrace payload, serve/obs.hpp).
+//
+// Wall-clock slices are steady-clock ns relative to an anchor, written in
+// microseconds with three decimals; a `clock_anchor` instant pairs that
+// anchor with its wall-clock epoch instant.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "trace/trace.hpp"
 
 namespace hulkv::trace {
 
-/// Export options. `cycles_per_us` converts the cycle timebase into the
-/// microsecond timestamps the viewers expect; the default maps one cycle
-/// to 1 us which keeps integer cycle numbers readable in the UI.
-///
-/// `host_spans` additionally exports the telemetry registry's retained
-/// host wall-clock spans (program load/analyze, block translate,
-/// dispatch chunks, snapshot ops, batch jobs) as a second process
-/// (pid 2, "hulkv-host") with one swimlane per host thread. Host spans
-/// are real nanoseconds, not simulated cycles — the two processes run
-/// on different clocks, anchored by a `clock_anchor` event carrying the
-/// wall-epoch/steady-clock offset pair taken when telemetry was
-/// enabled. A no-op when telemetry never collected.
-struct ChromeTraceOptions {
-  double cycles_per_us = 1.0;
-  bool host_spans = true;
+/// One trace_event document: the constructor opens it, each call adds
+/// one event, finish() closes it.
+class ChromeTraceWriter {
+ public:
+  explicit ChromeTraceWriter(std::ostream& os);
+
+  void process_name(u32 pid, std::string_view name);
+  void thread_name(u32 pid, u32 tid, std::string_view name);
+  void clock_anchor(u32 pid, std::string_view cat, u64 wall_epoch_ns,
+                    u64 steady_anchor_ns);
+  /// A wall-clock complete (`X`) slice; `args` is a JSON object.
+  void wall_slice(u32 pid, u32 tid, std::string_view name,
+                  std::string_view cat, u64 start_ns, u64 dur_ns,
+                  std::string_view args);
+  /// The stream the next event's JSON object goes to (pid 1's events).
+  std::ostream& event();
+  void finish();
+
+ private:
+  std::ostream& os_;
+  bool first_ = true;
 };
 
-/// Write the whole sink as Chrome trace_event JSON.
-void write_chrome_trace(std::ostream& os, const TraceSink& sink,
-                        const ChromeTraceOptions& options = {});
+/// Write the whole sink as pid 1 and telemetry's retained spans, if
+/// any, as pid 2.
+void write_chrome_trace(std::ostream& os, const TraceSink& sink);
 
 /// Convenience file writer. Throws SimError when the file cannot be
 /// opened.
-void write_chrome_trace_file(const std::string& path, const TraceSink& sink,
-                             const ChromeTraceOptions& options = {});
+void write_chrome_trace_file(const std::string& path, const TraceSink& sink);
 
 }  // namespace hulkv::trace

@@ -392,6 +392,30 @@ TEST(ToolCli, AnalyzeImageWithAnErrorExitsOne) {
       << o.err;
 }
 
+// The --corpus table: every row is as wide as the header row, so each
+// number sits under its column name whatever the program name's length.
+TEST(ToolCli, AnalyzeCorpusTableRowsAreAsWideAsTheHeader) {
+  const Outcome o =
+      run_binary(std::string(HULKV_TOOLS_DIR) + "/hulkv-analyze",
+                 "--corpus", /*keep_stdout=*/true);
+  EXPECT_EQ(o.rc, 0) << o.err;
+  std::vector<std::string> lines;
+  std::istringstream in(o.err);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_FALSE(lines.empty());
+  // The last line counts the programs: one table row each follows the
+  // header.
+  const size_t programs = std::stoul(lines.back());
+  ASSERT_GT(programs, 0u);
+  ASSERT_GT(lines.size(), programs + 1) << o.err;
+  const std::string& header = lines[0];
+  ASSERT_EQ(header.rfind("program", 0), 0u) << header;
+  for (size_t i = 1; i <= programs; ++i) {
+    EXPECT_EQ(lines[i].size(), header.size())
+        << "\n" << header << "\n" << lines[i];
+  }
+}
+
 // A program name the corpus does not list is a usage error.
 TEST(ToolCli, AnalyzeUnknownProgramExitsTwo) {
   const Outcome o = run_binary(

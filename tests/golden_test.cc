@@ -42,7 +42,6 @@
 #include "isa/assembler.hpp"
 #include "kernels/cluster_kernels.hpp"
 #include "kernels/golden.hpp"
-#include "kernels/host_kernels.hpp"
 #include "kernels/iot_benchmarks.hpp"
 #include "kernels/kernel.hpp"
 #include "runtime/offload.hpp"
@@ -308,73 +307,6 @@ host::Cva6Core::SyscallAction exit_on_93(host::Cva6Core& c) {
                                    : host::Cva6Core::SyscallAction::kContinue;
 }
 
-/// One Fig. 8 IoT program: writes its input into the SoC, returns the
-/// program and its arguments.
-struct IotWorkload {
-  std::string name;
-  std::function<std::pair<kernels::KernelProgram, std::vector<u64>>(
-      core::HulkVSoc&)>
-      setup;
-};
-
-/// The five IoT programs at bench/fig8_llc_effect.cpp's sizes and seeds.
-std::vector<IotWorkload> fig8_iot_workloads() {
-  constexpr Addr kBase = core::layout::kSharedBase;
-  std::vector<IotWorkload> list;
-  list.push_back({"crc32", [](core::HulkVSoc& soc) {
-    const u32 n = 64 * 1024;
-    Xoshiro256 rng(1);
-    std::vector<u8> data(n);
-    for (auto& b : data) b = static_cast<u8>(rng.next());
-    const auto table = kernels::golden::crc32_table();
-    soc.write_mem(kBase, data.data(), n);
-    soc.write_mem(kBase + n, table.data(), 1024);
-    return std::pair{kernels::host_crc32(n),
-                     std::vector<u64>{kBase, kBase + n, kBase + n + 1024}};
-  }});
-  list.push_back({"fir", [](core::HulkVSoc& soc) {
-    const u32 n = 16384, taps = 32;
-    Xoshiro256 rng(2);
-    std::vector<i32> x(n), h(taps);
-    for (auto& v : x) v = static_cast<i32>(rng.next_range(-1000, 1000));
-    for (auto& v : h) v = static_cast<i32>(rng.next_range(-16, 16));
-    const Addr ph = kBase + n * 4;
-    soc.write_mem(kBase, x.data(), n * 4);
-    soc.write_mem(ph, h.data(), taps * 4);
-    return std::pair{kernels::host_fir_i32(n, taps),
-                     std::vector<u64>{kBase, ph, ph + taps * 4}};
-  }});
-  list.push_back({"sort", [](core::HulkVSoc& soc) {
-    const u32 n = 16384;
-    Xoshiro256 rng(3);
-    std::vector<i32> data(n);
-    for (auto& v : data) v = static_cast<i32>(rng.next_range(-1000000, 1000000));
-    soc.write_mem(kBase, data.data(), n * 4);
-    return std::pair{kernels::host_shell_sort(n), std::vector<u64>{kBase}};
-  }});
-  list.push_back({"histogram", [](core::HulkVSoc& soc) {
-    const u32 n = 96 * 1024;
-    Xoshiro256 rng(4);
-    std::vector<u8> data(n);
-    for (auto& b : data) b = static_cast<u8>(rng.next());
-    soc.write_mem(kBase, data.data(), n);
-    return std::pair{kernels::host_histogram(n),
-                     std::vector<u64>{kBase, kBase + n}};
-  }});
-  list.push_back({"strsearch", [](core::HulkVSoc& soc) {
-    const u32 n = 96 * 1024, m = 8;
-    Xoshiro256 rng(5);
-    std::vector<u8> hay(n);
-    for (auto& b : hay) b = static_cast<u8>('a' + rng.next_below(4));
-    const std::string needle = "abcdabcd";
-    soc.write_mem(kBase, hay.data(), n);
-    soc.write_mem(kBase + n, needle.data(), m);
-    return std::pair{kernels::host_strsearch(n, m),
-                     std::vector<u64>{kBase, kBase + n, kBase + n + 64}};
-  }});
-  return list;
-}
-
 /// Called after each offload with the SoC and the buffers' L2 addresses.
 using OffloadCheck =
     std::function<void(core::HulkVSoc&, const std::vector<u32>&)>;
@@ -479,13 +411,15 @@ TEST(GoldenHost, DigestsAtCheckpointsAndAfterIotPrograms) {
     soc.host().run();
     lines += "checkpoint exit " + hex_digest(soc.state_digest()) + "\n";
   }
-  for (const IotWorkload& w : fig8_iot_workloads()) {
+  // The five Fig. 8 IoT programs at the bench's sizes and seeds.
+  for (const kernels::IotBenchmark& b : kernels::iot_benchmarks()) {
     core::HulkVSoc soc;  // the shipped SoC: HyperRAM + LLC
-    auto [program, args] = w.setup(soc);
-    kernels::run_host_program(soc, program, args);
-    lines += w.name + " warm " + hex_digest(soc.state_digest()) + "\n";
-    kernels::run_host_program(soc, program, args);
-    lines += w.name + " timed " + hex_digest(soc.state_digest()) + "\n";
+    const kernels::IotSetup setup = b.setup(soc, /*scale=*/1);
+    const std::string name = b.name;
+    kernels::run_host_program(soc, setup.program, setup.args);
+    lines += name + " warm " + hex_digest(soc.state_digest()) + "\n";
+    kernels::run_host_program(soc, setup.program, setup.args);
+    lines += name + " timed " + hex_digest(soc.state_digest()) + "\n";
   }
   expect_golden("host_digests.txt", lines);
 }

@@ -3,10 +3,13 @@
 // StatGroup totals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -17,6 +20,8 @@
 #include "kernels/host_kernels.hpp"
 #include "kernels/kernel.hpp"
 #include "runtime/offload.hpp"
+#include "telemetry/json.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
 
@@ -500,6 +505,113 @@ TEST(ChromeTrace, EmptySinkStillProducesValidJson) {
   std::ostringstream os;
   trace::write_chrome_trace(os, trace::sink());
   EXPECT_TRUE(JsonValidator(os.str()).valid());
+}
+
+/// Isolates a test's use of the process-global telemetry registry.
+struct TelemetryGuard {
+  TelemetryGuard() {
+    telemetry::registry().reset();
+    telemetry::registry().enable();
+  }
+  ~TelemetryGuard() {
+    telemetry::registry().disable();
+    telemetry::registry().reset();
+  }
+};
+
+// pid 2 is the telemetry registry's retained host spans on the wall
+// clock: its process name, one lane per host thread, one clock anchor
+// holding the registry's two anchors, and one slice per span.
+TEST(ChromeTrace, HostSpansExportAsProcessTwo) {
+  const TelemetryGuard guard;
+  const auto run_host = [] {
+    using namespace isa::reg;
+    isa::Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
+    a.li(t0, 100);
+    a.label("loop");
+    a.addi(t0, t0, -1);
+    a.bnez(t0, "loop");
+    a.li(a0, 0);
+    a.li(a7, 93);
+    a.ecall();
+    core::HulkVSoc soc;
+    kernels::run_host_program(soc, a.assemble(), {});
+  };
+  run_host();                       // the test's own thread
+  std::thread(run_host).join();     // a second host thread
+  const std::vector<telemetry::SpanRecord> spans =
+      telemetry::registry().spans();
+  std::ostringstream os;
+  trace::write_chrome_trace(os, trace::sink());
+  const std::string text = os.str();
+
+  std::set<u32> span_threads;
+  u32 max_thread = 0;
+  for (const telemetry::SpanRecord& s : spans) {
+    span_threads.insert(s.thread);
+    max_thread = std::max(max_thread, s.thread);
+  }
+  ASSERT_EQ(span_threads.size(), 2u);
+
+  int process_names = 0;
+  std::set<u32> lanes;
+  std::vector<const telemetry::json::Value*> anchors;
+  std::vector<const telemetry::json::Value*> slices;
+  const telemetry::json::Value doc = telemetry::json::parse(text);
+  for (const telemetry::json::Value& e : doc.find("traceEvents")->as_array()) {
+    if (e.find("pid")->as_number() != 2.0) continue;
+    const std::string& name = e.find("name")->as_string();
+    if (name == "process_name") {
+      ++process_names;
+      EXPECT_EQ(e.find_path("args.name")->as_string(),
+                "hulkv-host (wall clock)");
+    } else if (name == "thread_name") {
+      const u32 tid = static_cast<u32>(e.find("tid")->as_number());
+      EXPECT_TRUE(lanes.insert(tid).second) << "lane " << tid;
+      EXPECT_EQ(e.find_path("args.name")->as_string(),
+                "host-thread-" + std::to_string(tid - 1));
+    } else if (name == "clock_anchor") {
+      anchors.push_back(&e);
+    } else {
+      ASSERT_EQ(e.find("ph")->as_string(), "X") << name;
+      slices.push_back(&e);
+    }
+  }
+  EXPECT_EQ(process_names, 1);
+  // Lanes run from the first host thread index to the last that
+  // recorded a span.
+  std::set<u32> want_lanes;
+  for (u32 t = 0; t <= max_thread; ++t) want_lanes.insert(t + 1);
+  EXPECT_EQ(lanes, want_lanes);
+
+  ASSERT_EQ(anchors.size(), 1u);
+  // The anchors are ns since the epoch, past a double's exact range:
+  // compare the written digits.
+  EXPECT_NE(text.find("\"args\":{\"wall_epoch_ns\":" +
+                      std::to_string(telemetry::registry().wall_anchor_ns()) +
+                      ",\"steady_anchor_ns\":" +
+                      std::to_string(
+                          telemetry::registry().steady_anchor_ns()) +
+                      "}"),
+            std::string::npos);
+
+  ASSERT_EQ(slices.size(), spans.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const telemetry::json::Value& e = *slices[i];
+    EXPECT_EQ(e.find("name")->as_string(),
+              telemetry::phase_name(spans[i].phase))
+        << i;
+    EXPECT_EQ(e.find("tid")->as_number(), spans[i].thread + 1.0) << i;
+    EXPECT_EQ(e.find_path("args.depth")->as_number(),
+              static_cast<double>(spans[i].depth))
+        << i;
+    EXPECT_NEAR(e.find("ts")->as_number() * 1000.0,
+                static_cast<double>(spans[i].start_ns), 1.0)
+        << i;
+    EXPECT_NEAR(e.find("dur")->as_number() * 1000.0,
+                static_cast<double>(spans[i].dur_ns), 1.0)
+        << i;
+  }
 }
 
 }  // namespace

@@ -59,10 +59,16 @@ bool parse_address(const std::string& text, u64* out) {
   return true;
 }
 
-/// Per-program detail: the program name, then its report.
-void print_detail(const kernels::CorpusResult& r) {
-  std::printf("== %s ==\n%s\n", r.entry.name.c_str(),
-              r.report.to_string().c_str());
+/// One program's output: its JSON document, or its name and then its
+/// report. Returns the exit code.
+int print_one(const kernels::CorpusResult& r, bool json) {
+  if (json) {
+    std::fputs(kernels::render_corpus_json({r}).c_str(), stdout);
+  } else {
+    std::printf("== %s ==\n%s\n", r.entry.name.c_str(),
+                r.report.to_string().c_str());
+  }
+  return r.report.ok() ? 0 : 1;
 }
 
 }  // namespace
@@ -126,37 +132,28 @@ int main(int argc, char** argv) {
       entry.words = std::move(words);
       if (profile == "host") entry.profile = analysis::IsaProfile::kHostRv64;
       kernels::CorpusResult r;
-      r.report = kernels::analyze_corpus_entry(entry);
       if (base_set) {
-        // Re-analyze at the requested base with the bare conventions
-        // (no load-path entry seeding: the image is foreign).
+        // The bare conventions at the requested base (no load-path
+        // entry seeding: the image is foreign).
         analysis::Options options;
         options.base = base;
         options.profile = entry.profile;
         options.pic = entry.profile == analysis::IsaProfile::kClusterRv32;
         r.report = analysis::analyze(entry.words, options);
+      } else {
+        r.report = kernels::analyze_corpus_entry(entry);
       }
       r.entry = std::move(entry);
-      if (json) {
-        std::fputs(kernels::render_corpus_json({r}).c_str(), stdout);
-      } else {
-        print_detail(r);
-      }
-      return r.report.ok() ? 0 : 1;
+      return print_one(r, json);
     }
 
-    std::vector<kernels::CorpusResult> results =
-        kernels::run_corpus_analysis();
     if (!name.empty()) {
-      for (const kernels::CorpusResult& r : results) {
-        if (r.entry.name == name) {
-          if (json) {
-            std::fputs(kernels::render_corpus_json({r}).c_str(), stdout);
-          } else {
-            print_detail(r);
-          }
-          return r.report.ok() ? 0 : 1;
-        }
+      for (kernels::CorpusEntry& entry : kernels::analysis_corpus()) {
+        if (entry.name != name) continue;
+        kernels::CorpusResult r;
+        r.report = kernels::analyze_corpus_entry(entry);
+        r.entry = std::move(entry);
+        return print_one(r, json);
       }
       std::fprintf(stderr,
                    "hulkv-analyze: unknown program '%s' (run --corpus "
@@ -165,6 +162,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!corpus_mode) return usage();
+    const std::vector<kernels::CorpusResult> results =
+        kernels::run_corpus_analysis();
     std::fputs(json ? kernels::render_corpus_json(results).c_str()
                     : kernels::render_corpus_text(results).c_str(),
                stdout);

@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
   bool no_obs = false;
   parser.add_flag("--no-obs", &no_obs,
                   "disable request tracing (kMetrics/kTrace still "
-                  "answer, with empty stage histograms)");
+                  "answer, with empty stage histograms; the manifest "
+                  "has no request latency percentiles)");
   parser.add_u32("--trace-ring", &config.trace_ring,
                  "completed-request trace ring capacity (kTrace)");
   parser.add_u32("--slow-ms", &config.slow_ms,

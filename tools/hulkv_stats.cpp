@@ -371,8 +371,7 @@ int cmd_scrape(const Endpoint& at) {
 
 int cmd_trace_op(const Endpoint& at) {
   serve::Client client = connect_serve(at);
-  std::printf("%s\n",
-              fetch_text(client, serve::MsgType::kTrace, 1).c_str());
+  std::fputs(fetch_text(client, serve::MsgType::kTrace, 1).c_str(), stdout);
   return 0;
 }
 
